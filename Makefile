@@ -3,7 +3,7 @@
 TRACE   := /tmp/artemis-trace.json
 REPORT  := /tmp/artemis-report.json
 
-.PHONY: all build test check bench trace-smoke lint-smoke analyze-smoke fuzz-smoke perf-smoke wavefront-smoke tb-smoke model-smoke obs-smoke clean
+.PHONY: all build test check bench trace-smoke lint-smoke analyze-smoke fuzz-smoke perf-smoke wavefront-smoke tb-smoke model-smoke obs-smoke perfbench-selftest clean
 
 all: build
 
@@ -27,6 +27,7 @@ check:
 	$(MAKE) tb-smoke
 	$(MAKE) model-smoke
 	$(MAKE) obs-smoke
+	$(MAKE) perfbench-selftest
 
 bench:
 	dune exec bench/main.exe
@@ -90,7 +91,7 @@ wavefront-smoke:
 tb-smoke:
 	dune exec bench/main.exe -- tb-smoke
 
-# Warp-model smoke test (docs/MODEL.md): on every registry device the
+# Pre-rank smoke test (docs/MODEL.md): on every registry device the
 # measurement-free pre-rank must pick the same winning plan as
 # exhaustive measurement from strictly fewer measurements, and the
 # decision journal with pre-ranking on must be byte-identical at jobs=1
@@ -112,6 +113,12 @@ obs-smoke:
 	dune exec bin/artemisc.exe -- bench-diff BENCH_exec.json BENCH_exec.json
 	dune exec bin/artemisc.exe -- bench-diff BENCH_tuner.json BENCH_tuner.json
 	@rm -f /tmp/artemis-explain-j1.json /tmp/artemis-explain-j4.json
+
+# Repository benchmark self-test (perfbench/README.md): each workload
+# runs at self-test sizes, every BENCHMARK.json metric must print with
+# its unit, and plan quality and counts must repeat exactly.
+perfbench-selftest:
+	python3 perfbench/selftest.py
 
 clean:
 	dune clean

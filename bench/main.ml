@@ -647,7 +647,7 @@ type tuner_cfg = {
   cfg_interp : bool;  (* interpreter-backed evaluation (pre-PR) *)
   cfg_bypass : bool;  (* measurement cache off (pre-PR) *)
   cfg_warm : bool;  (* keep the cache from the previous row *)
-  cfg_prerank : float;  (* warp-model pre-rank keep %% (100 = off) *)
+  cfg_prerank : float;  (* pre-rank keep %% (100 = off) *)
 }
 
 let tuner_configs =
@@ -776,7 +776,7 @@ let cached_total rows =
     0.0 rows
 
 (* Analytic measurements spent on the tuning components — the work the
-   warp-model pre-rank is meant to save.  The fuzz and exec components
+   pre-rank is meant to save.  The fuzz and exec components
    never enter the tuner, so they are excluded on both sides. *)
 let tuned_measures rows =
   List.fold_left
@@ -933,12 +933,12 @@ let tuner_smoke () =
   end
 
 (* Hidden smoke variant (`make model-smoke`): on every registry device,
-   tuning with the warp-model pre-rank must pick the same plan as
+   tuning with the sketched-counter pre-rank must pick the same plan as
    exhaustive measurement while measuring strictly fewer
    configurations, and the decision journal with pre-ranking on must be
    byte-identical between jobs=1 and jobs=4. *)
 let model_smoke () =
-  header "model smoke: warp-model pre-rank per registry device";
+  header "model smoke: sketched-counter pre-rank per registry device";
   let k = List.hd (Suite.kernels (Suite.at_size 32 (Suite.find "7pt-smoother"))) in
   let with_prerank pct f =
     let saved = !Artemis.Hierarchical.prerank_keep in

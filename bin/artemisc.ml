@@ -117,7 +117,8 @@ let prerank_arg =
   Arg.(value & opt (some float) None
        & info [ "prerank-keep" ] ~docv:"PCT"
            ~doc:"Measure only the top $(docv)%% of each tuning phase's \
-                 candidates as ranked by the measurement-free warp model \
+                 candidates as ranked by the timing model on a one-block \
+                 counter sketch \
                  (docs/MODEL.md); 100 disables pre-ranking.  Default 25.")
 
 let set_prerank pct = Option.iter (fun p -> Artemis.Hierarchical.prerank_keep := p) pct
@@ -137,8 +138,6 @@ let cache_dir_arg =
        & info [ "cache-dir" ] ~docv:"DIR"
            ~doc:"Persist measurement-cache entries under $(docv), so repeated \
                  runs skip already-measured configurations")
-
-let set_cache_dir dir = Option.iter Artemis.Measure_cache.set_dir dir
 
 (** Write [text] to [path], closing the channel even on failure, and
     surfacing I/O errors as a cmdliner result instead of an uncaught
@@ -616,7 +615,7 @@ let optimize_cmd =
       report_json =
     with_trace trace @@ fun () ->
     set_jobs jobs;
-    set_cache_dir cache_dir;
+    Artemis.Measure_cache.set_dir cache_dir;
     set_prerank prerank;
     match read_program path with
     | `Ok prog ->
@@ -702,7 +701,7 @@ let deep_cmd =
       report_json =
     with_trace trace @@ fun () ->
     set_jobs jobs;
-    set_cache_dir cache_dir;
+    Artemis.Measure_cache.set_dir cache_dir;
     set_prerank prerank;
     match read_program path with
     | `Ok prog -> (
@@ -836,7 +835,7 @@ let explain_cmd =
       deep max_tile max_degree =
     with_trace trace @@ fun () ->
     set_jobs jobs;
-    set_cache_dir cache_dir;
+    Artemis.Measure_cache.set_dir cache_dir;
     set_prerank prerank;
     let source =
       match (bench, path) with

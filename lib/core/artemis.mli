@@ -16,10 +16,8 @@ module Pretty = Artemis_dsl.Pretty
 module Device = Artemis_gpu.Device
 module Counters = Artemis_gpu.Counters
 
-(** Warp-level measurement-free runtime estimator and its Plan adapter:
-    the tuner's pre-ranking model (see docs/MODEL.md).  *)
-module Warp_model = Artemis_gpu.Warp_model
-
+(** Measurement-free pre-ranking: [Timing] priced on a one-block
+    counter sketch (see docs/MODEL.md). *)
 module Predict = Artemis_exec.Predict
 module Plan = Artemis_ir.Plan
 module Validate = Artemis_ir.Validate

@@ -29,23 +29,12 @@ let measure (plan : Plan.t) =
   Metrics.incr m_measures;
   let ctx = Traffic.make_ctx plan in
   let counters = Traffic.total_counters ctx in
-  let res = ctx.res in
-  let workload =
-    {
-      Timing.counters;
-      occupancy = res.occupancy;
-      ilp = res.ilp;
-      blocks = ctx.geom.total_blocks;
-      threads_per_block = Plan.threads_per_block plan;
-      prefetch = plan.prefetch;
-      serial_waves = ctx.serial_waves;
-    }
-  in
+  let workload = Traffic.workload ctx counters in
   let breakdown = Timing.evaluate plan.device workload in
   {
     plan;
     counters;
-    resources = res;
+    resources = ctx.res;
     breakdown;
     time_s = breakdown.t_total;
     tflops = Timing.tflops workload breakdown;

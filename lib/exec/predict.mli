@@ -1,25 +1,19 @@
-(** Measurement-free runtime prediction for candidate plans: sketches
-    [Warp_model.inputs] from one representative block's traffic scaled
-    to the grid, and prices it with the warp-level estimator.  The
-    tuner pre-ranks candidates with [time_s] before paying a full
+(** Measurement-free runtime prediction for candidate plans: the same
+    clock as [Analytic] ([Timing.evaluate]) fed sketched counters — one
+    representative block's traffic scaled to the grid.  The tuner
+    pre-ranks candidates with it before paying a full
     [Analytic.try_measure]; see docs/MODEL.md. *)
 
-(** Warp-model inputs sketched from a plan without measuring it.
+(** The sketched workload: [Analytic.measure]'s workload with the exact
+    whole-grid counters replaced by the middle block's, scaled by the
+    block count.
     @raise Invalid_argument on plans whose geometry cannot be built. *)
-val inputs_of_plan : Artemis_ir.Plan.t -> Artemis_gpu.Warp_model.inputs
-
-(** Predicted runtime in seconds; [infinity] for plans the sketch cannot
-    price — they sort last, where the measurement path would reject
-    them.  Pure and deterministic: safe to evaluate in worker domains. *)
-val time_s : Artemis_ir.Plan.t -> float
+val workload : Artemis_ir.Plan.t -> Artemis_gpu.Timing.workload
 
 (** [(score, predicted_seconds)] for pre-ranking: the score is seconds
     per useful FLOP (lower is better), so plans covering different step
     counts per launch compare on useful throughput.  Both components are
-    [infinity] for unpriceable plans. *)
+    [infinity] for plans the sketch cannot price — they sort last, where
+    the measurement path would reject them.  Pure and deterministic:
+    safe to evaluate in worker domains. *)
 val rank : Artemis_ir.Plan.t -> float * float
-
-(** Full prediction alongside its inputs, for explain/report surfaces. *)
-val predict :
-  Artemis_ir.Plan.t ->
-  (Artemis_gpu.Warp_model.inputs * Artemis_gpu.Warp_model.prediction) option

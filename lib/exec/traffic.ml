@@ -701,3 +701,16 @@ let total_counters ?(exact = false) ctx =
     go 0 1;
     !acc
   end
+
+(** The launch's [Timing] workload charged with [counters]: exact
+    whole-grid sums for [Analytic], a one-block sketch for [Predict]. *)
+let workload ctx counters =
+  {
+    Artemis_gpu.Timing.counters;
+    occupancy = ctx.res.occupancy;
+    ilp = ctx.res.ilp;
+    blocks = ctx.geom.total_blocks;
+    threads_per_block = Plan.threads_per_block ctx.plan;
+    prefetch = ctx.plan.prefetch;
+    serial_waves = ctx.serial_waves;
+  }

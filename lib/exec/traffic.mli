@@ -81,3 +81,9 @@ val block_counters : ctx -> int array -> Artemis_gpu.Counters.t
     one representative for the identical middle); [exact] forces the full
     per-block loop (the class sum equals it — tested). *)
 val total_counters : ?exact:bool -> ctx -> Artemis_gpu.Counters.t
+
+(** The launch's [Timing] workload charged with [counters]: the one
+    place occupancy, ILP, block count and serial waves are read off the
+    plan, whether the counters are exact ([Analytic]) or sketched
+    ([Predict]). *)
+val workload : ctx -> Artemis_gpu.Counters.t -> Artemis_gpu.Timing.workload

@@ -189,9 +189,3 @@ let snapshot () =
     [ ("counters", Json.List (List.rev counters));
       ("gauges", Json.List (List.rev gauges));
       ("histograms", Json.List (List.rev histograms)) ]
-
-let write_snapshot path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (Json.to_string ~indent:true (snapshot ())))

@@ -55,5 +55,3 @@ val reset : unit -> unit
     entry carrying name, labels, and value(s); entries sorted by name so
     the snapshot is deterministic. *)
 val snapshot : unit -> Json.t
-
-val write_snapshot : string -> unit

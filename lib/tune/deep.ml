@@ -21,7 +21,6 @@ module Trace = Artemis_obs.Trace
 module Metrics = Artemis_obs.Metrics
 module Journal = Artemis_obs.Journal
 module Json = Artemis_obs.Json
-module Pool = Artemis_par.Pool
 
 let m_versions = Metrics.counter "deep.versions_explored"
 
@@ -56,38 +55,28 @@ let still_bandwidth_bound prof =
     [out] from [inp]) until fusion stops paying or [max_tile] is reached.
     [plan_of] builds the base plan (scheme/placement) for a fused kernel. *)
 let explore ?(max_tile = 5) ?(max_degree = 1) ~plan_of (k : I.kernel) ~out ~inp =
-  (* Generate and tune one fused version — the heavy, pure part of each
-     step, safe to run speculatively on a pool worker.  The tuner's own
-     journal events are captured alongside the outcome so [decide] can
-     replay them in tile order on the main domain: a speculative run
-     journals byte-identically to a serial one, and tiles past the
-     stopping point leave no events at all. *)
+  (* Generate and tune one fused version; each tile's tuner fans its own
+     candidates out on the pool. *)
   let tune_tile x =
-    Journal.capture (fun () ->
-        let fused = Fusion.time_fuse k ~out ~inp ~f:x in
-        let base : Plan.t = plan_of fused in
-        (* The base names its ping-pong pair so phase 2 of the tuner can
-           pick the temporal-blocking degree b jointly with this fusion
-           width: a version then covers x*b steps per launch, and the DP
-           below composes over steps covered rather than tiles. *)
-        let base =
-          { base with
-            Plan.time_tile = x;
-            temporal = { Plan.no_temporal with Plan.pair = Some (out, inp) };
-          }
-        in
-        let knobs = { Hierarchical.default_knobs with Hierarchical.max_degree } in
-        match Hierarchical.tune ~knobs base with
-        | None -> None
-        | Some record -> Some (record, profile_of record.best))
+    let fused = Fusion.time_fuse k ~out ~inp ~f:x in
+    let base : Plan.t = plan_of fused in
+    (* The base names its ping-pong pair so phase 2 of the tuner can
+       pick the temporal-blocking degree b jointly with this fusion
+       width: a version then covers x*b steps per launch, and the DP
+       below composes over steps covered rather than tiles. *)
+    let base =
+      { base with
+        Plan.time_tile = x;
+        temporal = { Plan.no_temporal with Plan.pair = Some (out, inp) };
+      }
+    in
+    let knobs = { Hierarchical.default_knobs with Hierarchical.max_degree } in
+    Hierarchical.tune ~knobs base
   in
-  (* Apply the Section VI-A stopping rule to a tuned version and record
-     the decision trail.  Called on the main domain in tile order for
-     exactly the tiles the serial loop would reach, so serial and
-     speculative exploration leave identical results behind. *)
-  let decide x (outcome, entries) =
-    Journal.replay entries;
-    match outcome with
+  (* Tune tile [x], then apply the Section VI-A stopping rule and record
+     the decision trail. *)
+  let step x =
+    match tune_tile x with
     | None ->
       Trace.instant "deep.decision"
         ~attrs:[ ("time_tile", Int x); ("decision", Str "stop");
@@ -97,7 +86,8 @@ let explore ?(max_tile = 5) ?(max_degree = 1) ~plan_of (k : I.kernel) ~out ~inp 
           [ ("time_tile", Json.Int x); ("decision", Json.Str "stop");
             ("reason", Json.Str "no-valid-configuration") ];
       None
-    | Some ((record : Hierarchical.record), prof) ->
+    | Some (record : Hierarchical.record) ->
+      let prof = profile_of record.best in
       Metrics.incr m_versions;
       let degree = record.best.plan.Plan.temporal.Plan.degree in
       let steps = x * degree in
@@ -140,56 +130,18 @@ let explore ?(max_tile = 5) ?(max_degree = 1) ~plan_of (k : I.kernel) ~out ~inp 
           },
           continue_ )
   in
-  let serial () =
-    let rec go x acc =
-      if x > max_tile then List.rev acc
-      else begin
-        let step =
-          Trace.with_span "deep.version" ~attrs:[ ("time_tile", Int x) ] (fun () ->
-              decide x (tune_tile x))
-        in
-        match step with
-        | None -> List.rev acc
-        | Some (v, true) -> go (x + 1) (v :: acc)
-        | Some (v, false) -> List.rev (v :: acc)
-      end
-    in
-    go 1 []
+  let rec go x acc =
+    if x > max_tile then List.rev acc
+    else
+      match
+        Trace.with_span "deep.version" ~attrs:[ ("time_tile", Int x) ] (fun () ->
+            step x)
+      with
+      | None -> List.rev acc
+      | Some (v, true) -> go (x + 1) (v :: acc)
+      | Some (v, false) -> List.rev (v :: acc)
   in
-  (* With a pool available, tune every tile size speculatively — versions
-     past the stopping point are wasted work traded for wall-clock — then
-     replay the serial stopping rule over the results in tile order.
-     Decision instants, metrics, and even a worker's exception surface
-     only when the serial loop would have reached that tile. *)
-  let speculative () =
-    let outcomes =
-      Pool.map ~label:"deep.version"
-        (fun x ->
-          match
-            Trace.with_span "deep.version" ~attrs:[ ("time_tile", Int x) ] (fun () ->
-                tune_tile x)
-          with
-          | o -> Ok o
-          | exception e -> Error (e, Printexc.get_raw_backtrace ()))
-        (List.init max_tile (fun i -> i + 1))
-    in
-    let rec replay x acc = function
-      | [] -> List.rev acc
-      | outcome :: rest -> (
-        match outcome with
-        | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-        | Ok o -> (
-          match decide x o with
-          | None -> List.rev acc
-          | Some (v, true) -> replay (x + 1) (v :: acc) rest
-          | Some (v, false) -> List.rev (v :: acc)))
-    in
-    replay 1 [] outcomes
-  in
-  let versions =
-    Trace.with_span "deep.explore" (fun () ->
-        if Pool.parallelism () <= 1 then serial () else speculative ())
-  in
+  let versions = Trace.with_span "deep.explore" (fun () -> go 1 []) in
   let cusp =
     match
       List.sort (fun a b -> compare a.time_per_sweep b.time_per_sweep) versions

@@ -77,8 +77,9 @@ let m_tuner_runs = Metrics.counter "tuner.runs"
 let m_configs_prerank_pruned = Metrics.counter "tuner.configs_prerank_pruned"
 
 (* Pre-ranking: before paying a full analytic measurement per candidate,
-   score every legal candidate with the measurement-free warp model
-   ([Predict.time_s]) and only measure the slice predicted fastest.
+   score every legal candidate with the timing model on a one-block
+   counter sketch ([Predict.rank]) and only measure the slice predicted
+   fastest.
    [prerank_keep] is the percentage kept; >= 100 disables the filter.
    The default is calibrated on the committed benchmark suite: the
    chosen plan is unchanged while most measurements are skipped (gated
@@ -292,7 +293,7 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
      the same tie-breaking as a serial sweep.
 
      With pre-ranking active ([prerank_keep] < 100) the candidates are
-     first scored by the measurement-free warp model; only the slice
+     first scored on sketched counters ([Predict.rank]); only the slice
      predicted fastest is measured.  Scoring is pure and deterministic,
      so it also fans out on the pool; the keep/prune cut, the metrics,
      and every journal event happen here on the main domain in canonical

@@ -33,9 +33,9 @@ type knobs = {
 val default_knobs : knobs
 
 (** Pre-ranking filter: percentage of each candidate batch kept for full
-    analytic measurement after scoring with the measurement-free warp
-    model ([Predict]/[Warp_model]).  Values >= 100 disable the filter.
-    The default is calibrated so the chosen plan is unchanged on the
+    analytic measurement after scoring with the timing model on a
+    one-block counter sketch ([Predict]).  Values >= 100 disable the
+    filter.  The default is calibrated so the chosen plan is unchanged on the
     committed suite while most measurements are skipped (see
     BENCH_tuner.json's prerank rows and `make model-smoke`). *)
 val prerank_keep : float ref

@@ -33,10 +33,13 @@ let table : (string, Artemis_exec.Analytic.measurement option) Hashtbl.t =
 
 let dir : string option ref = ref None
 
-(** Route entries through [d] as well as memory; creates [d] if needed. *)
+(** Route entries through [d] as well as memory, creating it if needed;
+    [None] turns the disk store off. *)
 let set_dir d =
-  (try if not (Sys.file_exists d) then Sys.mkdir d 0o755 with Sys_error _ -> ());
-  dir := Some d
+  Option.iter
+    (fun d -> try if not (Sys.file_exists d) then Sys.mkdir d 0o755 with Sys_error _ -> ())
+    d;
+  dir := d
 
 let disk_path key =
   Option.map (fun d -> Filename.concat d (Digest.to_hex (Digest.string key) ^ ".cache")) !dir
@@ -62,13 +65,23 @@ let disk_store key result =
   match disk_path key with
   | None -> ()
   | Some path -> (
+    (* Write a fresh temp file, then rename it into place: processes
+       sharing the directory never write the same file, and readers see
+       either no entry or a whole one. *)
     try
-      let tmp = path ^ ".tmp" in
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> Marshal.to_channel oc (key, result) []);
-      Sys.rename tmp path
+      let tmp =
+        Filename.temp_file ~temp_dir:(Filename.dirname path)
+          (Filename.basename path) ".tmp"
+      in
+      try
+        let oc = open_out_bin tmp in
+        Fun.protect
+          ~finally:(fun () -> close_out_noerr oc)
+          (fun () -> Marshal.to_channel oc (key, result) []);
+        Sys.rename tmp path
+      with e ->
+        (try Sys.remove tmp with Sys_error _ -> ());
+        raise e
     with _ -> ())
 
 let record outcome =

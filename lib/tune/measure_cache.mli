@@ -29,10 +29,12 @@ val try_measure_outcome :
     The benchmark harness's pre-cache baseline configuration. *)
 val bypass : bool ref
 
-(** Also persist entries under this directory (created if missing).
-    Stored entries carry their full key and are verified on load, so
-    digest collisions or stale formats degrade to misses. *)
-val set_dir : string -> unit
+(** Also persist entries under this directory (created if missing);
+    [None] turns the disk store off.  Stored entries carry their full
+    key and are verified on load, so digest collisions or stale formats
+    degrade to misses.  Each entry is written through its own temp file
+    and renamed into place, so processes may share the directory. *)
+val set_dir : string option -> unit
 
 (** Drop all in-memory entries; the on-disk store is untouched. *)
 val clear : unit -> unit

@@ -1,16 +1,18 @@
-(* Warp-model tests: the measurement-free estimator must rank like the
-   analytic measurement (Spearman), respond monotonically to traffic and
-   occupancy, place the latency knee where the paper does, and keep the
-   tuner's pre-ranked journal jobs-independent.  The device registry and
-   the per-device measure-cache keys are pinned here too. *)
+(* Pre-rank tests: the one-block sketch priced by [Timing] must rank
+   like the analytic measurement (Spearman), differ from it in counters
+   only, respond monotonically to traffic and occupancy, place the
+   latency knee where the paper does, and keep the tuner's pre-ranked
+   journal jobs-independent.  The device registry and the per-device
+   measure-cache keys are pinned here too. *)
 
 module Plan = Artemis_ir.Plan
 module Validate = Artemis_ir.Validate
 module Device = Artemis_gpu.Device
 module Occupancy = Artemis_gpu.Occupancy
-module Wm = Artemis_gpu.Warp_model
+module Timing = Artemis_gpu.Timing
 module Predict = Artemis_exec.Predict
 module Analytic = Artemis_exec.Analytic
+module Traffic = Artemis_exec.Traffic
 module Space = Artemis_tune.Space
 module H = Artemis_tune.Hierarchical
 module O = Artemis_codegen.Options
@@ -89,20 +91,34 @@ let tests =
           Alcotest.(check bool)
             (Printf.sprintf "Spearman rho %.2f >= 0.5" rho)
             true (rho >= 0.5));
+      case "sketch with exact counters prices to the measurement"
+        (fun () ->
+          (* One clock: the sketch differs from the measurement in its
+             counters and nothing else. *)
+          List.iter
+            (fun p ->
+              let exact =
+                { (Predict.workload p) with
+                  Timing.counters = Traffic.total_counters (Traffic.make_ctx p) }
+              in
+              Alcotest.(check (float 0.0)) (Plan.label p)
+                (Analytic.measure p).time_s
+                (Timing.evaluate dev exact).t_total)
+            (candidates ()));
       case "more DRAM traffic or more sectors never predicts faster"
         (fun () ->
+          (* Global sectors reach the clock as texture/L2 bytes. *)
           let k = jacobi () in
-          let w = Predict.inputs_of_plan (Lower.lower dev k O.default) in
-          let t0 = (Wm.predict dev w).time_s in
+          let w = Predict.workload (Lower.lower dev k O.default) in
+          let time (c : Artemis_gpu.Counters.t) =
+            (Timing.evaluate dev { w with counters = c }).t_total
+          in
+          let c = w.counters in
+          let t0 = time c in
           List.iter
             (fun scale ->
-              let t_dram =
-                (Wm.predict dev { w with Wm.dram_bytes = w.dram_bytes *. scale })
-                  .time_s
-              in
-              let t_sect =
-                (Wm.predict dev { w with Wm.sectors = w.sectors *. scale }).time_s
-              in
+              let t_dram = time { c with dram_bytes = c.dram_bytes *. scale } in
+              let t_sect = time { c with tex_bytes = c.tex_bytes *. scale } in
               Alcotest.(check bool)
                 (Printf.sprintf "dram x%.0f no faster" scale)
                 true (t_dram >= t0);
@@ -112,14 +128,14 @@ let tests =
             [ 2.0; 8.0; 64.0 ];
           (* Strictly more DRAM bytes must eventually show up in the
              prediction, not vanish under another ceiling. *)
-          let t_heavy =
-            (Wm.predict dev { w with Wm.dram_bytes = w.dram_bytes *. 64.0 }).time_s
-          in
+          let t_heavy = time { c with dram_bytes = c.dram_bytes *. 64.0 } in
           Alcotest.(check bool) "64x dram strictly slower" true (t_heavy > t0));
       case "lower occupancy never predicts faster" (fun () ->
           let k = jacobi () in
-          let w = Predict.inputs_of_plan (Lower.lower dev k O.default) in
-          let time frac = (Wm.predict dev { w with Wm.occupancy = occ_at dev frac }).time_s in
+          let w = Predict.workload (Lower.lower dev k O.default) in
+          let time frac =
+            (Timing.evaluate dev { w with occupancy = occ_at dev frac }).t_total
+          in
           let fracs = [ 0.0625; 0.125; 0.25; 0.5; 1.0 ] in
           List.iter2
             (fun lo hi ->
@@ -143,13 +159,13 @@ let tests =
                 (Printf.sprintf "%s knee %.3f in [0.125, 0.25]" alias knee)
                 true
                 (knee >= 0.125 && knee <= 0.25);
-              (* issue_utilization saturates exactly at the knee... *)
-              let u_at = Wm.issue_utilization d (occ_at d knee) ~ilp:2.0 in
+              (* latency_utilization saturates exactly at the knee... *)
+              let u_at = Timing.latency_utilization d (occ_at d knee) ~ilp:2.0 in
               Alcotest.(check (float 1e-6))
                 (alias ^ " saturates at knee") 1.0 u_at;
               (* ...and is strictly below 1 under it. *)
               let u_half =
-                Wm.issue_utilization d (occ_at d (knee /. 2.0)) ~ilp:2.0
+                Timing.latency_utilization d (occ_at d (knee /. 2.0)) ~ilp:2.0
               in
               Alcotest.(check bool) (alias ^ " under knee unsaturated") true
                 (u_half < 1.0 && u_half > 0.0))

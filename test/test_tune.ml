@@ -197,6 +197,31 @@ let tests =
           let keys = List.map Artemis_tune.Measure_cache.key_of variants in
           Alcotest.(check int) "all keys distinct" (List.length keys)
             (List.length (List.sort_uniq compare keys)));
+      case "disk cache answers after clear and leaves no temp file" (fun () ->
+          let module Mc = Artemis_tune.Measure_cache in
+          let d = Filename.temp_file "artemis-cache" "" in
+          Sys.remove d;
+          let files () = Array.to_list (Sys.readdir d) in
+          Mc.set_dir (Some d);
+          Fun.protect
+            ~finally:(fun () ->
+              Mc.set_dir None;
+              Mc.clear ();
+              List.iter (fun f -> Sys.remove (Filename.concat d f)) (files ());
+              Sys.rmdir d)
+            (fun () ->
+              let p = Lower.lower dev (jacobi ~n:32 ()) O.default in
+              Mc.clear ();
+              let m1, o1 = Mc.try_measure_outcome p in
+              Mc.clear ();
+              let m2, o2 = Mc.try_measure_outcome p in
+              Alcotest.(check bool) "first lookup misses" true (o1 = `Miss);
+              Alcotest.(check bool) "second lookup hits disk" true (o2 = `Hit);
+              Alcotest.(check bool) "equal measurement" true
+                (Option.is_some m1 && m1 = m2);
+              Alcotest.(check (list string)) "one entry, no temp file"
+                [ Digest.to_hex (Digest.string (Mc.key_of p)) ^ ".cache" ]
+                (files ())));
       case "deep exploration picks the degree jointly with the width" (fun () ->
           let k = jacobi () in
           let plan_of fused = Lower.lower dev fused O.default in
