@@ -62,12 +62,13 @@ analyze-smoke:
 	@rm -f /tmp/artemis-analyze-a.json /tmp/artemis-analyze-b.json
 
 # Differential verification smoke test (docs/VERIFY.md): seed 42 is the
-# acceptance seed, seed 7 once crashed the pipeline and stays pinned.
-# Both replay with the lint invariant armed (no Error finding on any
-# accepted pair).
+# acceptance seed, seed 7 once crashed the pipeline and seed 1008 once
+# generated an empty interior (A202); both stay pinned.  All replay with
+# the lint invariant armed (no Error finding on any accepted pair).
 fuzz-smoke:
 	dune exec bin/artemisc.exe -- fuzz --seed 42 --cases 25 --lint
 	dune exec bin/artemisc.exe -- fuzz --seed 7 --cases 25 --lint
+	dune exec bin/artemisc.exe -- fuzz --seed 1008 --cases 60 --lint
 
 # Host-side performance smoke test (docs/PERF.md): a tiny tuner/fuzzer
 # workload at jobs=2 must beat the pre-PR serial configuration and

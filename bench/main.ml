@@ -1004,30 +1004,18 @@ let model_smoke () =
 (* Executor wall clock: interpreter vs compiled vs split-interior       *)
 (* ------------------------------------------------------------------ *)
 
-(* Wall-clock comparison of the three executor modes over the whole
-   suite plus a fuzz-corpus replay, through both the reference executor
-   and the block executor.  The "interpreter" row is the pre-PR-4
-   baseline ([Eval.use_interpreter]), "compiled" is PR 4's compile-once
-   evaluator with splitting off, and "split" adds the interior/halo
-   decomposition with flat-index rows (docs/PERF.md).  Copyout arrays
-   must be bit-identical across all three — asserted and reported. *)
-
-type exec_mode = { em_name : string; em_interp : bool; em_split : bool }
+(* Wall-clock comparison of three executor modes over the whole suite
+   plus a fuzz-corpus replay, through both the reference executor and
+   the block executor.  The "interpreter" row is the tree-walking
+   baseline ([Eval.Interpreted]), "compiled" is the compile-once
+   evaluator with every point guarded ([Eval.Guarded]), and "split"
+   adds the interior/halo decomposition with flat-index rows
+   ([Eval.Split], docs/PERF.md).  Copyout arrays must be bit-identical
+   across all three — asserted and reported. *)
 
 let exec_modes =
-  [ { em_name = "interpreter"; em_interp = true; em_split = false };
-    { em_name = "compiled"; em_interp = false; em_split = false };
-    { em_name = "split"; em_interp = false; em_split = true } ]
-
-let with_exec_mode m f =
-  let si = !Artemis.Eval.use_interpreter and ss = !Artemis.Eval.use_split in
-  Artemis.Eval.use_interpreter := m.em_interp;
-  Artemis.Eval.use_split := m.em_split;
-  Fun.protect
-    ~finally:(fun () ->
-      Artemis.Eval.use_interpreter := si;
-      Artemis.Eval.use_split := ss)
-    f
+  [ ("interpreter", Artemis.Eval.Interpreted); ("compiled", Artemis.Eval.Guarded);
+    ("split", Artemis.Eval.Split) ]
 
 (* Default plan with the block shape shrunk until launchable — the
    tuner's validity filter, so heavy kernels run at bench sizes. *)
@@ -1048,9 +1036,9 @@ let exec_plan_of k =
   in
   shrink p 12
 
-(* One program end to end under the current mode: reference executor and
-   block executor wall seconds, plus the copyout grids of each. *)
-let exec_run (prog : Artemis.Ast.program) =
+(* One program end to end under [mode]: reference executor and block
+   executor wall seconds, plus the copyout grids of each. *)
+let exec_run ~mode (prog : Artemis.Ast.program) =
   let scalars = Artemis.Reference.scalars_of_program prog in
   let sched = I.schedule prog in
   let copyouts store =
@@ -1061,14 +1049,14 @@ let exec_run (prog : Artemis.Ast.program) =
   let ref_s, ref_out =
     wall (fun () ->
         let store = Artemis.Reference.store_of_program prog in
-        Artemis.Reference.run_schedule store ~scalars sched;
+        Artemis.Reference.run_schedule ~mode store ~scalars sched;
         copyouts store)
   in
   let blk_s, blk_out =
     wall (fun () ->
         let store = Artemis.Reference.store_of_program prog in
         let steps = Artemis.Runner.configure ~plan_of:exec_plan_of sched in
-        let _ = Artemis.Runner.run_schedule steps store ~scalars in
+        let _ = Artemis.Runner.run_schedule ~mode steps store ~scalars in
         copyouts store)
   in
   (ref_s, blk_s, ref_out @ blk_out)
@@ -1091,29 +1079,28 @@ let exec_matrix ~size ~fuzz_cases =
         (Artemis_verify.Gen.generate ~seed:23 ~index).prog)
   in
   List.map
-    (fun m ->
-      with_exec_mode m (fun () ->
-          let rows =
-            List.map
-              (fun (name, prog) ->
-                let ref_s, blk_s, outs = exec_run prog in
-                (name, ref_s, blk_s, outs))
-              progs
-          in
-          let fuzz_s, fuzz_outs =
-            wall (fun () ->
-                List.concat_map
-                  (fun prog ->
-                    let _, _, outs = exec_run prog in
-                    outs)
-                  fuzz_progs)
-          in
-          (m, rows, fuzz_s, fuzz_outs)))
+    (fun (mode_name, mode) ->
+      let rows =
+        List.map
+          (fun (name, prog) ->
+            let ref_s, blk_s, outs = exec_run ~mode prog in
+            (name, ref_s, blk_s, outs))
+          progs
+      in
+      let fuzz_s, fuzz_outs =
+        wall (fun () ->
+            List.concat_map
+              (fun prog ->
+                let _, _, outs = exec_run ~mode prog in
+                outs)
+              fuzz_progs)
+      in
+      (mode_name, rows, fuzz_s, fuzz_outs))
     exec_modes
 
 let exec_report matrix =
   let find name =
-    List.find (fun ({ em_name; _ }, _, _, _) -> em_name = name) matrix
+    List.find (fun (mode_name, _, _, _) -> mode_name = name) matrix
   in
   let total (_, rows, fuzz_s, _) =
     List.fold_left (fun acc (_, r, b, _) -> acc +. r +. b) fuzz_s rows
@@ -1138,8 +1125,8 @@ let exec_report matrix =
    split executor runs them as anti-diagonal wavefronts: the rows of
    each hyperplane are mutually independent (parallelized across the
    pool) and swept with the flat-index bounds-check-free inner loop.
-   [Eval.with_wavefront false] forces the guarded per-point fallback
-   over the same region.  Both traversals realize the same
+   The [Eval.Guarded] mode runs the guarded per-point fallback over the
+   same region.  Both traversals realize the same
    dependence-respecting order, so every copyout grid must be
    bit-identical — asserted here, and pinned case by case by the fuzz
    oracle (invariant 4 in lib/verify/oracle.mli). *)
@@ -1169,34 +1156,30 @@ let dependent_cases ~size2 ~size3 =
     ("sor3d", Artemis.parse_string (sor3d_src ~n:size3)) ]
 
 (* Reference-executor wall seconds for [reps] sweeps under each schedule
-   (both measured in split mode — only the wavefront toggle differs);
-   returns (wavefront_s, guarded_s, bit_equal). *)
+   ([Eval.Split] takes the wavefront, [Eval.Guarded] the per-point
+   fallback); returns (wavefront_s, guarded_s, bit_equal). *)
 let dependent_run (prog : Artemis.Ast.program) ~reps =
   let scalars = Artemis.Reference.scalars_of_program prog in
   let sched = I.schedule prog in
-  let run_once () =
+  let run_once mode () =
     let store = Artemis.Reference.store_of_program prog in
     for _ = 1 to reps do
-      Artemis.Reference.run_schedule store ~scalars sched
+      Artemis.Reference.run_schedule ~mode store ~scalars sched
     done;
     List.map
       (fun n -> (n, Artemis_exec.Grid.copy (Artemis.Reference.find_array store n)))
       prog.copyout
   in
-  let wf_s, wf_out = wall run_once in
-  let gd_s, gd_out =
-    Artemis_exec.Eval.with_wavefront false (fun () -> wall run_once)
-  in
+  let wf_s, wf_out = wall (run_once Artemis.Eval.Split) in
+  let gd_s, gd_out = wall (run_once Artemis.Eval.Guarded) in
   (wf_s, gd_s, outputs_equal wf_out gd_out)
 
 let dependent_matrix ~size2 ~size3 ~reps =
-  let m_split = List.find (fun m -> m.em_name = "split") exec_modes in
-  with_exec_mode m_split (fun () ->
-      List.map
-        (fun (name, prog) ->
-          let wf_s, gd_s, equal = dependent_run prog ~reps in
-          (name, wf_s, gd_s, equal))
-        (dependent_cases ~size2 ~size3))
+  List.map
+    (fun (name, prog) ->
+      let wf_s, gd_s, equal = dependent_run prog ~reps in
+      (name, wf_s, gd_s, equal))
+    (dependent_cases ~size2 ~size3)
 
 let dependent_report rows =
   let wf = List.fold_left (fun a (_, w, _, _) -> a +. w) 0.0 rows in
@@ -1211,7 +1194,7 @@ let dependent_report rows =
    so the splitter skips them instead of sweeping them point-guarded.
    The observable effect: a strictly larger fraction of charged points
    takes an unguarded path than under the PR-7 splitter
-   ([Eval.with_static_elim false] — same splitting, no elimination),
+   ([Eval.Split_no_elim] — same splitting, no elimination),
    with bit-identical grids. *)
 
 let tally_total (t : Artemis_exec.Region.tally) =
@@ -1224,28 +1207,25 @@ let unguarded_fraction t = tally_unguarded t /. Float.max (tally_total t) 1.0
 
 let elimination_rows ~size =
   let names = [ "7pt-smoother"; "27pt-smoother"; "helmholtz"; "denoise" ] in
-  let m_split = List.find (fun m -> m.em_name = "split") exec_modes in
-  with_exec_mode m_split (fun () ->
-      List.map
-        (fun name ->
-          let prog = (Suite.at_size size (Suite.find name)).prog in
-          let scalars = Artemis.Reference.scalars_of_program prog in
-          let sched = I.schedule prog in
-          let run () =
-            let store = Artemis.Reference.store_of_program prog in
-            Artemis.Reference.run_schedule store ~scalars sched;
-            List.map
-              (fun n ->
-                (n, Artemis_exec.Grid.copy (Artemis.Reference.find_array store n)))
-              prog.copyout
-          in
-          let out_on, t_on = Artemis_exec.Region.with_tally run in
-          let out_off, t_off =
-            Artemis.Eval.with_static_elim false (fun () ->
-                Artemis_exec.Region.with_tally run)
-          in
-          (name, t_on, t_off, outputs_equal out_on out_off))
-        names)
+  List.map
+    (fun name ->
+      let prog = (Suite.at_size size (Suite.find name)).prog in
+      let scalars = Artemis.Reference.scalars_of_program prog in
+      let sched = I.schedule prog in
+      let run mode () =
+        let store = Artemis.Reference.store_of_program prog in
+        Artemis.Reference.run_schedule ~mode store ~scalars sched;
+        List.map
+          (fun n ->
+            (n, Artemis_exec.Grid.copy (Artemis.Reference.find_array store n)))
+          prog.copyout
+      in
+      let out_on, t_on = Artemis_exec.Region.with_tally (run Artemis.Eval.Split) in
+      let out_off, t_off =
+        Artemis_exec.Region.with_tally (run Artemis.Eval.Split_no_elim)
+      in
+      (name, t_on, t_off, outputs_equal out_on out_off))
+    names
 
 let elimination_report rows =
   let sum f = List.fold_left (fun a (_, t1, t2, _) -> a +. f t1 t2) 0.0 rows in
@@ -1269,30 +1249,28 @@ let elimination_report rows =
    events at canonical points.  Both the copyout grids and the recorded
    journal must be byte-identical at any worker count. *)
 let jobs_determinism () =
-  let m_split = List.find (fun m -> m.em_name = "split") exec_modes in
   let progs =
     [ (Suite.at_size 24 (Suite.find "7pt-smoother")).prog;
       Artemis.parse_string (gs2d_src ~n:96 ~m:96) ]
   in
-  with_exec_mode m_split (fun () ->
-      let run jobs =
-        Artemis.Pool.set_jobs jobs;
-        Artemis.Journal.start ();
-        let outs =
-          List.concat_map
-            (fun p ->
-              let _, _, outs = exec_run p in
-              outs)
-            progs
-        in
-        let jl = Artemis.Journal.to_jsonl () in
-        Artemis.Journal.stop ();
-        (outs, jl)
-      in
-      let o1, j1 = run 1 in
-      let o4, j4 = run 4 in
-      Artemis.Pool.set_jobs 1;
-      (outputs_equal o1 o4, j1 = j4))
+  let run jobs =
+    Artemis.Pool.set_jobs jobs;
+    Artemis.Journal.start ();
+    let outs =
+      List.concat_map
+        (fun p ->
+          let _, _, outs = exec_run ~mode:Artemis.Eval.Split p in
+          outs)
+        progs
+    in
+    let jl = Artemis.Journal.to_jsonl () in
+    Artemis.Journal.stop ();
+    (outs, jl)
+  in
+  let o1, j1 = run 1 in
+  let o4, j4 = run 4 in
+  Artemis.Pool.set_jobs 1;
+  (outputs_equal o1 o4, j1 = j4)
 
 (* ------------------------------------------------------------------ *)
 (* Degree-N temporal blocking: traffic reduction and exactness          *)
@@ -1392,9 +1370,9 @@ let write_exec_json matrix dep_rows elim_rows (jobs_outs_eq, jobs_journal_eq)
         ("modes",
          J.List
            (List.map
-              (fun (m, rows, fuzz_s, _) ->
+              (fun (mode_name, rows, fuzz_s, _) ->
                 J.Obj
-                  [ ("name", J.Str m.em_name);
+                  [ ("name", J.Str mode_name);
                     ("benchmarks",
                      J.List
                        (List.map
@@ -1476,11 +1454,11 @@ let exec_bench () =
   header "Executor wall clock: interpreter vs compiled vs split-interior";
   let matrix = exec_matrix ~size:28 ~fuzz_cases:12 in
   List.iter
-    (fun (m, rows, fuzz_s, _) ->
+    (fun (mode_name, rows, fuzz_s, _) ->
       let r = List.fold_left (fun acc (_, r, _, _) -> acc +. r) 0.0 rows in
       let b = List.fold_left (fun acc (_, _, b, _) -> acc +. b) 0.0 rows in
       Printf.printf "%-12s reference %6.2fs  blocks %6.2fs  fuzz %6.2fs  | total %6.2fs\n%!"
-        m.em_name r b fuzz_s (r +. b +. fuzz_s))
+        mode_name r b fuzz_s (r +. b +. fuzz_s))
     matrix;
   let speedup_vs_compiled, speedup_vs_interp, equal = exec_report matrix in
   Printf.printf "speedup split vs compiled    : %.2fx\n" speedup_vs_compiled;
@@ -1538,13 +1516,11 @@ let exec_smoke () =
   let prog = (Suite.at_size 12 (Suite.find "7pt-smoother")).prog in
   let m_int = Artemis.Metrics.counter "exec.interior_points" in
   let before = Artemis.Metrics.counter_value m_int in
-  let run name =
-    let m = List.find (fun m -> m.em_name = name) exec_modes in
-    with_exec_mode m (fun () ->
-        let _, _, outs = exec_run prog in
-        outs)
+  let run mode =
+    let _, _, outs = exec_run ~mode prog in
+    outs
   in
-  let split = run "split" and compiled = run "compiled" in
+  let split = run Artemis.Eval.Split and compiled = run Artemis.Eval.Guarded in
   let equal = outputs_equal split compiled in
   let interior = Artemis.Metrics.counter_value m_int -. before in
   Printf.printf "outputs identical %b; interior points swept %.0f\n%!" equal interior;
@@ -1603,10 +1579,7 @@ let wavefront_smoke () =
   let prog = Artemis.parse_string (gs2d_src ~n:64 ~m:64) in
   let m_wf = Artemis.Metrics.counter "exec.wavefront_points" in
   let before = Artemis.Metrics.counter_value m_wf in
-  let m_split = List.find (fun m -> m.em_name = "split") exec_modes in
-  let wf_s, gd_s, equal =
-    with_exec_mode m_split (fun () -> dependent_run prog ~reps:2)
-  in
+  let wf_s, gd_s, equal = dependent_run prog ~reps:2 in
   let swept = Artemis.Metrics.counter_value m_wf -. before in
   Printf.printf
     "outputs identical %b; wavefront points swept %.0f (wavefront %.3fs guarded %.3fs)\n%!"

@@ -987,18 +987,9 @@ let fuzz_cmd =
              ~doc:"Also enforce the lint invariant: no Error-level finding on \
                    any accepted (program, plan) pair")
   in
-  let no_wavefront_arg =
-    Arg.(value & flag
-         & info [ "no-wavefront" ]
-             ~doc:"Disable the wavefront schedule: self-dependent statements \
-                   run on the guarded per-point fallback (also skips the \
-                   wavefront-vs-guarded invariant, which pins the two paths \
-                   against each other)")
-  in
-  let run trace jobs seed cases dump_dir lint no_wavefront =
+  let run trace jobs seed cases dump_dir lint =
     with_trace trace @@ fun () ->
     set_jobs jobs;
-    if no_wavefront then Artemis_exec.Eval.use_wavefront := false;
     let s = Artemis_verify.Harness.run ?dump_dir ~lint ~seed ~cases () in
     print_string (Artemis_verify.Harness.summary_to_string s);
     match s.findings with
@@ -1017,7 +1008,7 @@ let fuzz_cmd =
     Term.(
       ret
         (const run $ trace_arg $ jobs_arg $ seed_arg $ cases_arg $ dump_arg
-         $ lint_arg $ no_wavefront_arg))
+         $ lint_arg))
 
 (* ---------------- trace-info ---------------- *)
 

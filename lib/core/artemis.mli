@@ -35,8 +35,9 @@ module Reference = Artemis_exec.Reference
 module Kernel_exec = Artemis_exec.Kernel_exec
 module Runner = Artemis_exec.Runner
 
-(** Statement compilation and its interior/halo split switches
-    ([use_split], [use_interpreter] — see docs/PERF.md). *)
+(** Statement compilation under an executor [mode] (interpreted,
+    guarded, split with or without shell elimination — see
+    docs/PERF.md). *)
 module Eval = Artemis_exec.Eval
 
 (** Iteration-space boxes and the interior/shell decomposition. *)

@@ -22,11 +22,7 @@ type measurement = {
   tflops : float;
 }
 
-(** Measure a plan analytically.
-    @raise Invalid_argument when the plan violates device limits. *)
-let measure (plan : Plan.t) =
-  Validate.check plan;
-  Metrics.incr m_measures;
+let evaluate (plan : Plan.t) =
   let ctx = Traffic.make_ctx plan in
   let counters = Traffic.total_counters ctx in
   let workload = Traffic.workload ctx counters in
@@ -39,6 +35,13 @@ let measure (plan : Plan.t) =
     time_s = breakdown.t_total;
     tflops = Timing.tflops workload breakdown;
   }
+
+(** Measure a plan analytically.
+    @raise Invalid_argument when the plan violates device limits. *)
+let measure (plan : Plan.t) =
+  Validate.check plan;
+  Metrics.incr m_measures;
+  evaluate plan
 
 (** Measure, returning [None] instead of raising on invalid plans — the
     shape the tuner's search loops want. *)

@@ -19,6 +19,11 @@ type measurement = {
     @raise Invalid_argument when the plan violates device limits. *)
 val measure : Artemis_ir.Plan.t -> measurement
 
+(** [measure] without the launch-limit check and without counting in
+    [exec.analytic_measures]: for fixed probes that are not tuning work.
+    The plan must be valid. *)
+val evaluate : Artemis_ir.Plan.t -> measurement
+
 (** [None] instead of raising on invalid plans — the shape tuning loops
     want. *)
 val try_measure : Artemis_ir.Plan.t -> measurement option

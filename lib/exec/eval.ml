@@ -5,16 +5,15 @@
 
    - the original tree-walking interpreter ([eval]/[guard]), which
      resolves names and iterator dimensions at every grid point; and
-   - a compile-once lowering ([compile]/[compile_coords]) that resolves
-     array/scalar bindings and index offsets a single time per statement
-     and returns closures the executors call per point — no per-point
+   - a compile-once lowering ([compile]) that resolves array/scalar
+     bindings and index offsets a single time per statement and returns
+     closures the executors call per point — no per-point
      [List.find_index]/[Not_found] control flow.
 
    Both produce bit-identical results (the closure tree mirrors the
-   interpreter's float-operation order exactly); the executors use the
-   compiled form unless [use_interpreter] is set, which the benchmark
-   harness flips to time the pre-compilation baseline and the tests use
-   for differential checking. *)
+   interpreter's float-operation order exactly).  [compile_stmt]'s
+   [mode] picks one; the benchmark harness and the tests run the
+   [Interpreted] mode to time and check the pre-compilation baseline. *)
 
 module A = Artemis_dsl.Ast
 
@@ -96,52 +95,19 @@ let guard env point (e : A.expr) =
 (* Compile-once lowering                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The four executor paths, bit-identical by construction; see eval.mli. *)
+type mode =
+  | Interpreted
+  | Guarded
+  | Split_no_elim
+  | Split
+
 let use_interpreter = ref false
-let use_split = ref true
-let use_wavefront = ref true
+let default_mode () = if !use_interpreter then Interpreted else Split
 
-let split_enabled () = !use_split && not !use_interpreter
-
-(* The fuzz oracle flips the wavefront schedule off *inside pool
-   workers* to compare it against the guarded fallback, so the override
-   must be domain-scoped — mutating the global under parallel fuzzing
-   would race across concurrent cases. *)
-let wavefront_override : bool option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let wavefront_enabled () =
-  (match !(Domain.DLS.get wavefront_override) with
-  | Some v -> v
-  | None -> !use_wavefront)
-  && split_enabled ()
-
-let with_wavefront v f =
-  let slot = Domain.DLS.get wavefront_override in
-  let saved = !slot in
-  slot := Some v;
-  Fun.protect ~finally:(fun () -> slot := saved) f
-
-(* Static guard elimination: skip boundary shells (and wavefront
-   exteriors) outright when the affine analyzer independently proves
-   every shell point a guard-failing no-op.  Same domain-scoped override
-   discipline as the wavefront toggle — the bench harness compares both
-   settings inside pool workers. *)
-let use_static_elim = ref true
-
-let static_elim_override : bool option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let static_elim_enabled () =
-  (match !(Domain.DLS.get static_elim_override) with
-  | Some v -> v
-  | None -> !use_static_elim)
-  && split_enabled ()
-
-let with_static_elim v f =
-  let slot = Domain.DLS.get static_elim_override in
-  let saved = !slot in
-  slot := Some v;
-  Fun.protect ~finally:(fun () -> slot := saved) f
+let splits = function
+  | Split_no_elim | Split -> true
+  | Interpreted | Guarded -> false
 
 type binder = {
   bind_array : string -> Grid.t;  (** array storage, temp grids included *)
@@ -154,25 +120,6 @@ type compiled = {
   cguard : int array -> bool;  (** all array reads in bounds at the point *)
   cvalue : int array -> float;  (** value; may raise [Out_of_bounds] *)
 }
-
-(* Interpreter-backed env over a binder: the per-point temp lookup needs
-   the current point, threaded through a ref exactly as the executors
-   did before compilation existed. *)
-let env_of_binder (b : binder) =
-  let env_point = ref [||] in
-  let env =
-    {
-      lookup_array = b.bind_array;
-      lookup_scalar = b.bind_scalar;
-      lookup_temp =
-        (fun t ->
-          match b.bind_temp t with
-          | Some g -> Grid.get g !env_point
-          | None -> raise Not_found);
-      iters = b.binder_iters;
-    }
-  in
-  (env, env_point)
 
 let iter_dim (b : binder) it =
   let rec find i = function
@@ -202,18 +149,6 @@ let access_plan b (idx : A.index list) =
         coords.(d) <- (if dim < 0 then shift else point.(dim) + shift))
       spec;
     coords
-
-(** Absolute coordinates of a write target, with bindings and iterator
-    dimensions resolved once.  The returned array is a reused buffer —
-    valid until the next call. *)
-let compile_coords (b : binder) (idx : A.index list) =
-  if !use_interpreter then begin
-    let env, env_point = env_of_binder b in
-    fun point ->
-      env_point := point;
-      access_coords env point idx
-  end
-  else access_plan b idx
 
 (* One plan per (array, index) pair, shared between the guard and value
    closures of a compiled statement: the guard checks bounds through the
@@ -287,29 +222,39 @@ let compile_guard ~plan_of (e : A.expr) : int array -> bool =
 
 (** Lower [e] against pre-resolved bindings.  Name resolution, iterator
     dimension lookup, and intrinsic dispatch happen once, here; the
-    returned closures only index grids and combine floats.  Under
-    [use_interpreter] the closures fall back to per-point [eval]/[guard]
-    (the pre-compilation baseline the benchmark times).
+    returned closures only index grids and combine floats.
     @raise Unknown_intrinsic on an undiagnosed intrinsic (lint code A104)
     @raise Invalid_argument on unbound names or iterators *)
 let compile (b : binder) (e : A.expr) : compiled =
-  if !use_interpreter then begin
-    let env, env_point = env_of_binder b in
+  let plan_of = plan_cache b in
+  { cguard = compile_guard ~plan_of e; cvalue = compile_value ~plan_of b e }
+
+(* The interpreter baseline in [compile_stmt]'s shape: write coordinates,
+   guard and value all evaluate per point through [access_coords], [guard]
+   and [eval].  The per-point temp lookup needs the current point,
+   threaded through a ref exactly as the executors did before compilation
+   existed. *)
+let interpreted (b : binder) (idx : A.index list) (e : A.expr) =
+  let env_point = ref [||] in
+  let env =
     {
-      cguard =
-        (fun point ->
-          env_point := point;
-          guard env point e);
-      cvalue =
-        (fun point ->
-          env_point := point;
-          eval env point e);
+      lookup_array = b.bind_array;
+      lookup_scalar = b.bind_scalar;
+      lookup_temp =
+        (fun t ->
+          match b.bind_temp t with
+          | Some g -> Grid.get g !env_point
+          | None -> raise Not_found);
+      iters = b.binder_iters;
     }
-  end
-  else begin
-    let plan_of = plan_cache b in
-    { cguard = compile_guard ~plan_of e; cvalue = compile_value ~plan_of b e }
-  end
+  in
+  let at f point =
+    env_point := point;
+    f env point
+  in
+  ( at (fun env p -> access_coords env p idx),
+    at (fun env p -> guard env p e),
+    at (fun env p -> eval env p e) )
 
 (* ------------------------------------------------------------------ *)
 (* Flat-index compilation for interior sweeps                          *)
@@ -318,10 +263,10 @@ let compile (b : binder) (e : A.expr) : compiled =
 (* Inside a guaranteed-in-bounds interior box every per-point check is
    dead weight, and so is recomputing multi-dimensional coordinates: an
    affine access moves through a grid's flat [float array] with a fixed
-   stride along the innermost iterator.  [compile_split] lowers a
-   statement to that form — per row, each access resolves to a flat base
-   offset plus [q * step]; per point, the value closures only index float
-   arrays and combine floats.  Point-invariant subexpressions (scalars,
+   stride along the innermost iterator.  [compile_flat] lowers an
+   expression to that form — per row, each access resolves to a flat
+   base offset plus [q * step]; per point, the value closures only index
+   float arrays and combine floats.  Point-invariant subexpressions (scalars,
    constant arithmetic, accesses that do not move along the row) are
    hoisted to row setup. *)
 
@@ -546,6 +491,7 @@ type split_stmt = {
   ss_write : access_path;
   ss_expr : flat;
   ss_paths : access_path list;  (* write + reads: the in-bounds constraints *)
+  ss_elim : bool;  (* the mode lets [elim_proven] skip dead shells *)
 }
 
 (* Does the expression read any per-point temporary?  [reads_of_expr]
@@ -559,27 +505,6 @@ let rec expr_reads_temp (b : binder) (e : A.expr) =
   | A.Bin (_, e1, e2) -> expr_reads_temp b e1 || expr_reads_temp b e2
   | A.Call (_, args) -> List.exists (expr_reads_temp b) args
 
-let compile_split (b : binder) ~(target : Grid.t) (idx : A.index list)
-    (e : A.expr) : split_stmt option =
-  let rank = List.length b.binder_iters in
-  let wpath = access_path b target idx in
-  let rpaths =
-    List.map (fun (a, ridx) -> access_path b (b.bind_array a) ridx)
-      (A.reads_of_expr e)
-  in
-  let reads_temp = expr_reads_temp b e in
-  if
-    not
-      (order_independent ~rank ~target ~wspec:wpath.ap_spec ~reads_temp rpaths)
-  then None
-  else
-    Some
-      {
-        ss_write = wpath;
-        ss_expr = compile_flat ~target b e;
-        ss_paths = wpath :: rpaths;
-      }
-
 let split_interior (ss : split_stmt) (region : Region.box) =
   clip_in_bounds ss.ss_paths region
 
@@ -592,7 +517,7 @@ let split_interior (ss : split_stmt) (region : Region.box) =
     before a guard is skipped; disagreement falls back to sweeping. *)
 let elim_proven (ss : split_stmt) ~(region : Region.box)
     ~(interior : Region.box) =
-  static_elim_enabled ()
+  ss.ss_elim
   && Artemis_static.Static.box_equal
        (Artemis_static.Static.footprint ~region
           ~accesses:
@@ -677,68 +602,60 @@ let self_deltas ~rank ~(target : Grid.t) ~(wspec : (int * int) array) paths =
     collect [] paths
   end
 
-(** One statement compiled for sweeping: the guarded per-point closure
-    (always available — boundary shells, wavefront row ends, and the
-    full fallback all use it) plus the schedule class the executors
-    dispatch on.  All closures share one plan cache, so the guarded
-    fallback no longer rebuilds the plans the split decision already
-    constructed. *)
-let compile_stmt (b : binder) ~(target : Grid.t) ~(accum : bool)
+(** One statement compiled for sweeping under [mode]: the guarded
+    per-point closure (always available — boundary shells, wavefront row
+    ends, and the full fallback all use it) plus the schedule class the
+    executors dispatch on.  The compiled closures share one plan cache,
+    so the guarded fallback does not rebuild the plans the split
+    decision already constructed. *)
+let compile_stmt ~mode (b : binder) ~(target : Grid.t) ~(accum : bool)
     (idx : A.index list) (e : A.expr) : stmt_exec =
-  if not (split_enabled ()) then begin
-    let coords_at = compile_coords b idx in
-    let c = compile b e in
-    let guarded p =
-      let w = coords_at p in
-      if Grid.in_bounds target w && c.cguard p then
-        if accum then Grid.set target w (Grid.get target w +. c.cvalue p)
-        else Grid.set target w (c.cvalue p)
-    in
-    { sx_class = Sc_guarded; sx_guarded = guarded; sx_row = no_row }
-  end
-  else begin
-    let plan_of = plan_cache b in
-    let coords_at = access_plan b idx in
-    let cguard = compile_guard ~plan_of e in
-    let cvalue = compile_value ~plan_of b e in
-    let guarded p =
-      let w = coords_at p in
-      if Grid.in_bounds target w && cguard p then
-        if accum then Grid.set target w (Grid.get target w +. cvalue p)
-        else Grid.set target w (cvalue p)
-    in
-    let rank = List.length b.binder_iters in
-    let wpath = access_path b target idx in
-    let rpaths =
-      List.map (fun (a, ridx) -> access_path b (b.bind_array a) ridx)
-        (A.reads_of_expr e)
-    in
-    let reads_temp = expr_reads_temp b e in
-    let mk_split () =
-      {
-        ss_write = wpath;
-        ss_expr = compile_flat ~target b e;
-        ss_paths = wpath :: rpaths;
-      }
-    in
-    let cls =
-      if
-        order_independent ~rank ~target ~wspec:wpath.ap_spec ~reads_temp rpaths
+  let coords_at, cguard, cvalue =
+    match mode with
+    | Interpreted -> interpreted b idx e
+    | Guarded | Split_no_elim | Split ->
+      let c = compile b e in
+      (access_plan b idx, c.cguard, c.cvalue)
+  in
+  let guarded p =
+    let w = coords_at p in
+    if Grid.in_bounds target w && cguard p then
+      if accum then Grid.set target w (Grid.get target w +. cvalue p)
+      else Grid.set target w (cvalue p)
+  in
+  let cls =
+    if not (splits mode) then Sc_guarded
+    else begin
+      let rank = List.length b.binder_iters in
+      let wpath = access_path b target idx in
+      let rpaths =
+        List.map (fun (a, ridx) -> access_path b (b.bind_array a) ridx)
+          (A.reads_of_expr e)
+      in
+      let mk_split () =
+        {
+          ss_write = wpath;
+          ss_expr = compile_flat ~target b e;
+          ss_paths = wpath :: rpaths;
+          ss_elim = mode = Split;
+        }
+      in
+      let reads_temp = expr_reads_temp b e in
+      if order_independent ~rank ~target ~wspec:wpath.ap_spec ~reads_temp rpaths
       then Sc_split (mk_split ())
-      else if wavefront_enabled () then (
+      else
         match self_deltas ~rank ~target ~wspec:wpath.ap_spec rpaths with
         | Some deltas -> (
           match Wavefront.hyperplane ~rank deltas with
           | Some vec -> Sc_wavefront (mk_split (), vec)
           | None -> Sc_guarded)
-        | None -> Sc_guarded)
-      else Sc_guarded
-    in
-    let row =
-      match cls with
-      | Sc_split ss | Sc_wavefront (ss, _) ->
-        if accum then run_row_accum ss else run_row_assign ss
-      | Sc_guarded -> no_row
-    in
-    { sx_class = cls; sx_guarded = guarded; sx_row = row }
-  end
+        | None -> Sc_guarded
+    end
+  in
+  let row =
+    match cls with
+    | Sc_split ss | Sc_wavefront (ss, _) ->
+      if accum then run_row_accum ss else run_row_assign ss
+    | Sc_guarded -> no_row
+  in
+  { sx_class = cls; sx_guarded = guarded; sx_row = row }

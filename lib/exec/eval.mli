@@ -1,10 +1,11 @@
 (** Expression evaluation at a domain point — shared by the reference
     executor and the block executor so both compute identical values.
 
-    The executors evaluate through {!compile}, which resolves bindings
-    and index offsets once per statement; the point-wise interpreter
-    ({!eval}/{!guard}) remains as the differential baseline and is what
-    the compiled closures fall back to under {!use_interpreter}. *)
+    The executors evaluate through {!compile_stmt}, whose {!mode} picks
+    one of four bit-identical paths: the point-wise interpreter
+    ({!eval}/{!guard}, the differential baseline), the compile-once
+    closures of {!compile}, and split interiors with and without
+    static shell elimination. *)
 
 (** Raised when an array read falls outside its grid; callers treat the
     statement as guarded off at that point. *)
@@ -37,56 +38,32 @@ val guard : env -> int array -> Artemis_dsl.Ast.expr -> bool
 
 (** {1 Compile-once lowering} *)
 
-(** When set, {!compile} and {!compile_coords} return closures backed by
-    the point-wise interpreter instead of the pre-resolved lowering —
-    the pre-compilation baseline the benchmark harness times and the
-    differential tests compare against.  Results are bit-identical
-    either way. *)
+(** How {!compile_stmt} executes a statement.  Every mode produces
+    bit-identical grids; they differ in speed and in which [exec.*]
+    point counters they charge.
+    - [Interpreted]: per-point {!eval}/{!guard}, the pre-compilation
+      baseline;
+    - [Guarded]: {!compile}'s closures, every point guarded;
+    - [Split_no_elim]: a guaranteed-in-bounds interior swept as
+      flat-index rows, uniform self-dependences as wavefronts
+      ({!Wavefront}), guarded boundary shells;
+    - [Split]: as [Split_no_elim], plus skipping the shells that
+      {!elim_proven} shows to be guard-failing no-ops. *)
+type mode =
+  | Interpreted
+  | Guarded
+  | Split_no_elim
+  | Split
+
+(** When set, {!default_mode} is [Interpreted]. *)
 val use_interpreter : bool ref
 
-(** When set (the default), the executors carve a guaranteed-in-bounds
-    interior box out of each statement's region and sweep it through
-    {!compile_split}'s flat-index rows; boundary shells keep the guarded
-    per-point path.  Clear to force the guarded path everywhere (the
-    PR-4 baseline).  Results are bit-identical either way. *)
-val use_split : bool ref
+(** The mode executors use when none is passed: [Interpreted] under
+    {!use_interpreter}, [Split] otherwise. *)
+val default_mode : unit -> mode
 
-(** When set (the default), statements whose self-dependences are
-    uniform sweep through the wavefront schedule ({!Wavefront}) instead
-    of falling back to the guarded per-point path.  Results are
-    bit-identical either way — pinned by the fuzz oracle. *)
-val use_wavefront : bool ref
-
-(** Splitting is active: {!use_split} and not {!use_interpreter} (the
-    interpreter baseline must stay pure per-point). *)
-val split_enabled : unit -> bool
-
-(** The wavefront schedule is active: {!use_wavefront} (or a scoped
-    {!with_wavefront} override) and {!split_enabled}. *)
-val wavefront_enabled : unit -> bool
-
-(** [with_wavefront v f] runs [f] with the wavefront schedule forced to
-    [v] on the calling domain only (domain-scoped, so the fuzz oracle
-    can flip it inside pool workers without racing concurrent cases). *)
-val with_wavefront : bool -> (unit -> 'a) -> 'a
-
-(** When set (the default), the executors skip boundary shells (and
-    wavefront exteriors) whose points the affine analyzer
-    ({!Artemis_static.Static}) proves to be guard-failing no-ops,
-    charging them to [exec.eliminated_points] instead of sweeping them.
-    Elimination only engages where the analyzer's independently computed
-    footprint agrees exactly with the executor's own clipping
-    ({!elim_proven}); results are bit-identical either way. *)
-val use_static_elim : bool ref
-
-(** Static guard elimination is active: {!use_static_elim} (or a scoped
-    {!with_static_elim} override) and {!split_enabled}. *)
-val static_elim_enabled : unit -> bool
-
-(** [with_static_elim v f] runs [f] with static elimination forced to
-    [v] on the calling domain only (same discipline as
-    {!with_wavefront}). *)
-val with_static_elim : bool -> (unit -> 'a) -> 'a
+(** The mode splits interiors ([Split_no_elim] or [Split]). *)
+val splits : mode -> bool
 
 (** Name resolution for compilation, fixed before the sweep begins:
     [bind_temp] wins over [bind_scalar] for scalar references (temps
@@ -111,11 +88,6 @@ type compiled = {
     @raise Unknown_intrinsic on an unknown intrinsic or wrong arity
     @raise Invalid_argument on unbound names or iterators *)
 val compile : binder -> Artemis_dsl.Ast.expr -> compiled
-
-(** Write-target coordinates with bindings resolved once.  The returned
-    array is a reused buffer — valid until the next call. *)
-val compile_coords :
-  binder -> Artemis_dsl.Ast.index list -> int array -> int array
 
 (** {1 Flat-index split compilation}
 
@@ -153,6 +125,7 @@ type split_stmt = {
   ss_expr : flat;
   ss_paths : access_path list;
       (** write plus reads — the in-bounds constraints for {!split_interior} *)
+  ss_elim : bool;  (** compiled under [Split]: shells may be eliminated *)
 }
 
 and flat = {
@@ -160,25 +133,12 @@ and flat = {
   fat : int -> float;  (** value at offset [q] along the bound row *)
 }
 
-(** Lower [target[idx] = e] (or [+=]) for split execution, or [None]
-    when splitting could reorder observable effects: the write index
-    must cover every iteration dimension (writes are then injective) and
-    any read aliasing [target]'s storage must use the write's own index.
-    Such statements stay entirely on the guarded path.
-    @raise Unknown_intrinsic / [Invalid_argument] as {!compile} *)
-val compile_split :
-  binder ->
-  target:Grid.t ->
-  Artemis_dsl.Ast.index list ->
-  Artemis_dsl.Ast.expr ->
-  split_stmt option
-
 (** The sub-box of [region] where every access of the statement is in
     bounds (its unguarded interior). *)
 val split_interior : split_stmt -> Region.box -> Region.box
 
-(** True when static elimination is enabled and the affine analyzer,
-    recomputing the statement's in-bounds footprint from the raw
+(** True when the statement was compiled under [Split] and the affine
+    analyzer, recomputing the statement's in-bounds footprint from the raw
     (extents, spec) pairs, lands on exactly [interior] (the executor's
     own {!clip_in_bounds} box for [region]).  Every region point outside
     [interior] is then provably a guard-failing no-op, so the shells can
@@ -229,12 +189,19 @@ val self_deltas :
   int array list option
 
 (** Compile [target[idx] = e] (or [+=] under [accum]) into its guarded
-    closure plus schedule class.  All closures share one plan cache —
-    the guarded fallback no longer rebuilds the plans the split decision
-    already constructed.  Like {!compile}, the result reuses internal
-    buffers and belongs to one sequential sweep: parallel wavefront
-    bands each compile their own instance. *)
+    closure plus schedule class under [mode].  Only the splitting modes
+    classify: a statement whose sweep order is unobservable (the write
+    covers every iteration dimension or no read varies along the ones it
+    misses, and any read aliasing [target] uses the write's own index)
+    is [Sc_split]; one with uniform self-dependences under a legal
+    hyperplane is [Sc_wavefront]; everything else, and every statement
+    under [Interpreted] or [Guarded], is [Sc_guarded].  The compiled
+    closures share one plan cache.  Like {!compile}, the result reuses
+    internal buffers and belongs to one sequential sweep: parallel
+    wavefront bands each compile their own instance.
+    @raise Unknown_intrinsic / [Invalid_argument] as {!compile} *)
 val compile_stmt :
+  mode:mode ->
   binder ->
   target:Grid.t ->
   accum:bool ->

@@ -56,7 +56,7 @@ let check_idempotent (k : Artemis_dsl.Instantiate.kernel) =
 (* One launch of [plan] at temporal degree 1 (the pre-blocking executor);
    [run] below dispatches blocked plans onto it or onto the streamed
    traversal. *)
-let run_plain (plan : Plan.t) (store : Reference.store) ~scalars =
+let run_plain ~mode (plan : Plan.t) (store : Reference.store) ~scalars =
   Validate.check plan;
   check_idempotent plan.kernel;
   let ctx = Traffic.make_ctx plan in
@@ -185,7 +185,7 @@ let run_plain (plan : Plan.t) (store : Reference.store) ~scalars =
             in
             (target, List.mem a finals || self_dep a, idx, e, true)
         in
-        let make () = Eval.compile_stmt binder ~target ~accum idx e in
+        let make () = Eval.compile_stmt ~mode binder ~target ~accum idx e in
         let sx = make () in
         (* Wavefront statements get one sweeper per launch: tile-local
            wavefronts re-sweep it block after block, growing executor
@@ -242,7 +242,7 @@ let run_plain (plan : Plan.t) (store : Reference.store) ~scalars =
   (* Global intermediates: redundant halo stores mean later blocks rewrite
      the same pure values — harmless, as in the real generated code. *)
   Trace.with_span "exec.kernel"
-    ~attrs:[ ("kernel", Trace.Str k.kname); ("split", Trace.Bool (Eval.split_enabled ())) ]
+    ~attrs:[ ("kernel", Trace.Str k.kname); ("split", Trace.Bool (Eval.splits mode)) ]
   @@ fun () ->
   let block = Array.make rank 0 in
   let rec launch d =
@@ -261,7 +261,7 @@ let run_plain (plan : Plan.t) (store : Reference.store) ~scalars =
     let (), tally = Region.with_tally (fun () -> launch 0) in
     Journal.append "exec.split"
       [ ("kernel", Json.Str k.kname); ("executor", Json.Str "blocks");
-        ("split", Json.Bool (Eval.split_enabled ()));
+        ("split", Json.Bool (Eval.splits mode));
         ("interior_points", Json.Float tally.t_interior);
         ("halo_points", Json.Float tally.t_halo);
         ("wavefront_points", Json.Float tally.t_wavefront);
@@ -289,7 +289,8 @@ let exchange (store : Reference.store) a b =
    again; guard-failed points retain the stale contents of the written
    physical buffer.  Bit-identical to the per-step composition
    [(launch; exchange)^(degree-1); launch]. *)
-let run_streamed (plan : Plan.t) (store : Reference.store) ~scalars ~out ~inp =
+let run_streamed ~mode (plan : Plan.t) (store : Reference.store) ~scalars ~out
+    ~inp =
   let k = plan.Plan.kernel in
   let b = plan.temporal.degree in
   let skew = Artemis_fuse.Fusion.stream_skew k in
@@ -334,12 +335,12 @@ let run_streamed (plan : Plan.t) (store : Reference.store) ~scalars ~out ~inp =
         | A.Decl_temp (n, e) ->
           let g = Hashtbl.find temps n in
           ( Some g,
-            (Eval.compile_stmt binder ~target:g ~accum:false identity_idx e)
+            (Eval.compile_stmt ~mode binder ~target:g ~accum:false identity_idx e)
               .Eval.sx_guarded )
         | A.Assign (_, idx, e) ->
           (* stream_legal: the single array assign writes [out] *)
           ( None,
-            (Eval.compile_stmt binder ~target:write ~accum:false idx e)
+            (Eval.compile_stmt ~mode binder ~target:write ~accum:false idx e)
               .Eval.sx_guarded )
         | A.Accum _ -> raise (Unsupported "streamed traversal on an accumulation"))
       k.body
@@ -378,10 +379,12 @@ let run_streamed (plan : Plan.t) (store : Reference.store) ~scalars ~out ~inp =
     [degree] time steps of its ping-pong pair per launch — through the
     streamed interleaved traversal when the body admits it, otherwise the
     exact per-step composition — and is charged the blocked launch's
-    counters from [Traffic]. *)
-let run (plan : Plan.t) (store : Reference.store) ~scalars =
+    counters from [Traffic].  Statements execute under [mode] (default
+    [Eval.default_mode ()]). *)
+let run ?(mode = Eval.default_mode ()) (plan : Plan.t) (store : Reference.store)
+    ~scalars =
   let tb = plan.Plan.temporal in
-  if tb.degree <= 1 then run_plain plan store ~scalars
+  if tb.degree <= 1 then run_plain ~mode plan store ~scalars
   else begin
     Validate.check plan;
     let out, inp =
@@ -398,14 +401,14 @@ let run (plan : Plan.t) (store : Reference.store) ~scalars =
           ("degree", Trace.Int tb.degree);
           ("streamed", Trace.Bool streamed) ]
     @@ fun () ->
-    if streamed then run_streamed plan store ~scalars ~out ~inp
+    if streamed then run_streamed ~mode plan store ~scalars ~out ~inp
     else begin
       (* exact fallback: [(launch; exchange)^(degree-1); launch] *)
       for _ = 1 to tb.degree - 1 do
-        ignore (run_plain p1 store ~scalars);
+        ignore (run_plain ~mode p1 store ~scalars);
         exchange store out inp
       done;
-      ignore (run_plain p1 store ~scalars)
+      ignore (run_plain ~mode p1 store ~scalars)
     end;
     Traffic.total_counters ctx
   end

@@ -17,9 +17,11 @@ exception Unsupported of string
     executes [degree] time steps of its ping-pong pair per launch — via
     the streamed interleaved traversal when the body admits it, the
     exact per-step composition otherwise — and is charged the blocked
-    launch's [Traffic] counters.
+    launch's [Traffic] counters.  Statements execute under [mode]
+    (default {!Eval.default_mode}).
     @raise Invalid_argument when the plan is not launchable
     @raise Unsupported per above *)
 val run :
+  ?mode:Eval.mode ->
   Artemis_ir.Plan.t -> Reference.store -> scalars:(string * float) list ->
   Artemis_gpu.Counters.t

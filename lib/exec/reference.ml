@@ -39,9 +39,10 @@ let iter_domain domain f =
     runtime scalar values.  Kernel arrays absent from the store (the
     scratch intermediates of fused kernels) are materialized locally,
     zero-initialized. *)
-let run_kernel (store : store) ~scalars (k : I.kernel) =
+let run_kernel ?(mode = Eval.default_mode ()) (store : store) ~scalars
+    (k : I.kernel) =
   Trace.with_span "exec.reference_kernel"
-    ~attrs:[ ("kernel", Trace.Str k.kname); ("split", Trace.Bool (Eval.split_enabled ())) ]
+    ~attrs:[ ("kernel", Trace.Str k.kname); ("split", Trace.Bool (Eval.splits mode)) ]
   @@ fun () ->
   let temps : (string, Grid.t) Hashtbl.t = Hashtbl.create 8 in
   let overlay : (string, Grid.t) Hashtbl.t = Hashtbl.create 4 in
@@ -80,17 +81,17 @@ let run_kernel (store : store) ~scalars (k : I.kernel) =
      its sweep; the temp grid is registered before compiling so the
      visibility rules match the interpreter exactly.
 
-     Under [Eval.split_enabled] an order-independent statement sweeps its
+     Under a splitting [mode] an order-independent statement sweeps its
      guaranteed-in-bounds interior through flat-index rows and pays the
      guard only on boundary shells; otherwise (and for statements
-     [compile_split] declines) the whole domain takes the guarded
-     per-point path, exactly as before. *)
+     [Eval.compile_stmt] classifies [Sc_guarded]) the whole domain takes
+     the guarded per-point path. *)
   let rank = Array.length k.domain in
   let domain_box = Region.of_dims k.domain in
   let point = Array.make (max rank 1) 0 in
   let identity_idx = List.map (fun it -> A.index ~iter:it 0) k.iters in
   let sweep_stmt ~accum target idx e =
-    let make () = Eval.compile_stmt binder ~target ~accum idx e in
+    let make () = Eval.compile_stmt ~mode binder ~target ~accum idx e in
     let sx = make () in
     match sx.Eval.sx_class with
     | Eval.Sc_split ss ->
@@ -129,7 +130,7 @@ let run_kernel (store : store) ~scalars (k : I.kernel) =
     let (), tally = Region.with_tally (fun () -> List.iter run_sweep k.body) in
     Artemis_obs.Journal.append "exec.split"
       [ ("kernel", Json.Str k.kname); ("executor", Json.Str "reference");
-        ("split", Json.Bool (Eval.split_enabled ()));
+        ("split", Json.Bool (Eval.splits mode));
         ("interior_points", Json.Float tally.t_interior);
         ("halo_points", Json.Float tally.t_halo);
         ("wavefront_points", Json.Float tally.t_wavefront);
@@ -143,30 +144,30 @@ let run_kernel (store : store) ~scalars (k : I.kernel) =
     [degree] time steps per call with the final exchange hoisted to the
     caller's swap.  This is the semantic ground truth the block
     executor's streamed interleaved traversal must match bit for bit. *)
-let run_blocked (store : store) ~scalars (k : I.kernel) ~out ~inp ~degree =
+let run_blocked ?mode (store : store) ~scalars (k : I.kernel) ~out ~inp ~degree =
   if degree < 1 then invalid_arg "Reference.run_blocked: degree < 1";
   for _ = 1 to degree - 1 do
-    run_kernel store ~scalars k;
+    run_kernel ?mode store ~scalars k;
     let go = find_array store out and gi = find_array store inp in
     Hashtbl.replace store out gi;
     Hashtbl.replace store inp go
   done;
-  run_kernel store ~scalars k
+  run_kernel ?mode store ~scalars k
 
 (** Execute a whole instantiated schedule (launches, swaps, time loops).
     Swaps exchange grid bindings, the ping-pong idiom of iterative
     stencils. *)
-let rec run_schedule (store : store) ~scalars items =
+let rec run_schedule ?mode (store : store) ~scalars items =
   List.iter
     (function
-      | I.Launch k -> run_kernel store ~scalars k
+      | I.Launch k -> run_kernel ?mode store ~scalars k
       | I.Exchange (a, b) ->
         let ga = find_array store a and gb = find_array store b in
         Hashtbl.replace store a gb;
         Hashtbl.replace store b ga
       | I.Repeat (n, sub) ->
         for _ = 1 to n do
-          run_schedule store ~scalars sub
+          run_schedule ?mode store ~scalars sub
         done)
     items
 

@@ -12,9 +12,11 @@ type store = (string, Grid.t) Hashtbl.t
 (** @raise Invalid_argument on unbound names *)
 val find_array : store -> string -> Grid.t
 
-(** Execute one kernel; kernel arrays absent from the store (fused-kernel
-    scratch intermediates) are materialized locally, zero-initialized. *)
+(** Execute one kernel under [mode] (default {!Eval.default_mode});
+    kernel arrays absent from the store (fused-kernel scratch
+    intermediates) are materialized locally, zero-initialized. *)
 val run_kernel :
+  ?mode:Eval.mode ->
   store -> scalars:(string * float) list -> Artemis_dsl.Instantiate.kernel -> unit
 
 (** Degree-[degree] temporally blocked execution of one ping-pong step
@@ -22,12 +24,14 @@ val run_kernel :
     steps per call, the final exchange hoisted to the caller's swap.
     @raise Invalid_argument on degree < 1 or unbound arrays *)
 val run_blocked :
+  ?mode:Eval.mode ->
   store -> scalars:(string * float) list -> Artemis_dsl.Instantiate.kernel ->
   out:string -> inp:string -> degree:int -> unit
 
 (** Execute a whole instantiated schedule; swaps exchange grid bindings
     (the ping-pong idiom). *)
 val run_schedule :
+  ?mode:Eval.mode ->
   store -> scalars:(string * float) list ->
   Artemis_dsl.Instantiate.sched_item list -> unit
 

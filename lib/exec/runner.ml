@@ -101,8 +101,8 @@ let measure_schedule (steps : step list) =
   }
 
 (** Data execution over a store (swaps rebind grids, as the host code's
-    pointer exchange does). *)
-let run_schedule (steps : step list) (store : Reference.store) ~scalars =
+    pointer exchange does), every launch under [mode]. *)
+let run_schedule ?mode (steps : step list) (store : Reference.store) ~scalars =
   Trace.with_span "exec.run_schedule" @@ fun () ->
   let counters = ref Counters.zero in
   let launches = ref 0 in
@@ -110,7 +110,7 @@ let run_schedule (steps : step list) (store : Reference.store) ~scalars =
     List.iter
       (function
         | Run_plan p ->
-          counters := Counters.add !counters (Kernel_exec.run p store ~scalars);
+          counters := Counters.add !counters (Kernel_exec.run ?mode p store ~scalars);
           incr launches;
           Metrics.incr m_launches
         | Swap (a, b) ->

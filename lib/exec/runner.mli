@@ -33,9 +33,11 @@ val temporal_rewrite :
 (** Analytic execution: per-launch counters and times summed. *)
 val measure_schedule : step list -> outcome
 
-(** Data execution over a store (swaps rebind grids); returns total
-    counters and the launch count. *)
+(** Data execution over a store (swaps rebind grids), every launch
+    under [mode] (default {!Eval.default_mode}); returns total counters
+    and the launch count. *)
 val run_schedule :
+  ?mode:Eval.mode ->
   step list -> Reference.store -> scalars:(string * float) list ->
   Artemis_gpu.Counters.t * int
 

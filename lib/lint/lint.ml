@@ -147,8 +147,6 @@ let semantic_findings msgs =
 (* Kernel-level analyses                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Interior bounds exactly as Launch.geometry computes them: clipped by
-   the union of read extents of the pure input arrays. *)
 let clipped_interior (k : I.kernel) =
   let rank = Array.length k.domain in
   let exts = An.required_extents k in

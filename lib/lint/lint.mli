@@ -62,6 +62,12 @@ val semantic_findings : string list -> finding list
     engine-disagreement races (A703). *)
 val lint_kernel : Artemis_dsl.Instantiate.kernel -> finding list
 
+(** The kernel's interior as [(lo, hi)] per iteration dimension, exactly
+    as [Launch.geometry] computes it: the domain clipped by the union of
+    the pure input arrays' read extents.  A dimension with
+    [hi.(d) < lo.(d)] has no interior point (A202). *)
+val clipped_interior : Artemis_dsl.Instantiate.kernel -> int array * int array
+
 (** Program-level findings: everything [lint_kernel] reports for each
     distinct scheduled kernel, plus uninitialized reads (A103), unused
     declarations/formals/stencils (A302/A303/A304), dead stores (A305),

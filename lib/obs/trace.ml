@@ -68,19 +68,12 @@ let record_now ~name ~phase ~t0 ~depth ~attrs =
   let ts_us, dur_us = match t0 with None -> (t1, 0.0) | Some t0 -> (t0, t1 -. t0) in
   buffer := { name; phase; ts_us; dur_us; depth; tid = tid (); attrs } :: !buffer;
   incr count;
-  Mutex.unlock lock;
-  dur_us
+  Mutex.unlock lock
 
 let instant ?(attrs = []) name =
   if !enabled_flag then
-    ignore
-      (record_now ~name ~phase:`Instant ~t0:None
-         ~depth:!(Domain.DLS.get span_depth) ~attrs)
-
-(* Span durations double as a latency histogram so phase costs show up in
-   metric snapshots without opening the trace. *)
-let span_seconds name =
-  Metrics.histogram "trace.span_seconds" ~labels:[ ("span", name) ]
+    record_now ~name ~phase:`Instant ~t0:None
+      ~depth:!(Domain.DLS.get span_depth) ~attrs
 
 let with_span ?(attrs = []) name f =
   if not !enabled_flag then f ()
@@ -96,8 +89,7 @@ let with_span ?(attrs = []) name f =
     incr d;
     let finally () =
       decr d;
-      let dur_us = record_now ~name ~phase:`Span ~t0:(Some t0) ~depth ~attrs in
-      Metrics.observe (span_seconds name) (dur_us /. 1e6)
+      record_now ~name ~phase:`Span ~t0:(Some t0) ~depth ~attrs
     in
     Fun.protect ~finally f
   end

@@ -39,8 +39,7 @@ val stop : unit -> unit
 
 (** Run [f] inside a named span.  When tracing is disabled this is
     [f ()] with no allocation.  The span closes (and is recorded) even if
-    [f] raises.  Span durations also feed the [trace.span_seconds{span}]
-    histogram in {!Metrics}. *)
+    [f] raises. *)
 val with_span : ?attrs:(string * value) list -> string -> (unit -> 'a) -> 'a
 
 (** Record a zero-duration structured event. *)

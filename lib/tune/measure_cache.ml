@@ -16,6 +16,7 @@
    collisions degrade to misses, never wrong results. *)
 
 module Plan = Artemis_ir.Plan
+module Analytic = Artemis_exec.Analytic
 module Metrics = Artemis_obs.Metrics
 module Trace = Artemis_obs.Trace
 
@@ -28,7 +29,7 @@ let key_of (plan : Plan.t) =
   Marshal.to_string (!Artemis_exec.Traffic.model, plan) [ Marshal.No_sharing ]
 
 let lock = Mutex.create ()
-let table : (string, Artemis_exec.Analytic.measurement option) Hashtbl.t =
+let table : (string, Analytic.measurement option) Hashtbl.t =
   Hashtbl.create 256
 
 let dir : string option ref = ref None
@@ -44,8 +45,33 @@ let set_dir d =
 let disk_path key =
   Option.map (fun d -> Filename.concat d (Digest.to_hex (Digest.string key) ^ ".cache")) !dir
 
-(* Disk entries are (key, result) pairs; any read problem — missing file,
-   truncation, format drift, digest collision — is just a miss. *)
+(* The measurement of one fixed probe plan, evaluated once at start-up
+   under the default traffic model (uncounted: it is not tuning work).
+   Its marshalled bytes change whenever the shape of
+   [Analytic.measurement] or the model's arithmetic changes, and with
+   them the header every disk entry starts with. *)
+let header =
+  let module A = Artemis_dsl.Ast in
+  let at s = [ A.index ~iter:"i" s ] in
+  let kernel =
+    { Artemis_dsl.Instantiate.kname = "probe";
+      body =
+        [ A.Assign
+            ("out", at 0, A.Bin (A.Add, A.Access ("in", at (-1)), A.Access ("in", at 1)))
+        ];
+      iters = [ "i" ]; domain = [| 1024 |];
+      arrays = [ ("in", [| 1024 |]); ("out", [| 1024 |]) ];
+      scalars = []; assign = []; pragma = A.empty_pragma }
+  in
+  let probe = Analytic.evaluate (Plan.default Artemis_gpu.Device.p100 kernel) in
+  "artemis-measure-cache-1:"
+  ^ Digest.to_hex (Digest.string (Marshal.to_string probe [ Marshal.No_sharing ]))
+
+(* Disk entries are [header] then a marshalled (key, result) pair.  The
+   header is compared before anything is unmarshalled, so an entry
+   written for another measurement shape is never read as this one; any
+   other read problem — missing file, truncation, digest collision — is
+   just a miss. *)
 let disk_find key =
   match disk_path key with
   | None -> None
@@ -55,10 +81,13 @@ let disk_find key =
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
         (fun () ->
-          let stored_key, (result : Artemis_exec.Analytic.measurement option) =
-            Marshal.from_channel ic
-          in
-          if String.equal stored_key key then Some result else None)
+          if not (String.equal (really_input_string ic (String.length header)) header)
+          then None
+          else
+            let stored_key, (result : Analytic.measurement option) =
+              Marshal.from_channel ic
+            in
+            if String.equal stored_key key then Some result else None)
     with _ -> None)
 
 let disk_store key result =
@@ -77,7 +106,9 @@ let disk_store key result =
         let oc = open_out_bin tmp in
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> Marshal.to_channel oc (key, result) []);
+          (fun () ->
+            output_string oc header;
+            Marshal.to_channel oc (key, result) []);
         Sys.rename tmp path
       with e ->
         (try Sys.remove tmp with Sys_error _ -> ());
@@ -104,7 +135,7 @@ let bypass = ref false
     themselves.  A bypassed measurement counts as a miss but, as before,
     touches neither the table nor the metrics. *)
 let try_measure_outcome (plan : Plan.t) =
-  if !bypass then (Artemis_exec.Analytic.try_measure plan, `Miss)
+  if !bypass then (Analytic.try_measure plan, `Miss)
   else
   let key = key_of plan in
   let cached =
@@ -124,7 +155,7 @@ let try_measure_outcome (plan : Plan.t) =
     (r, `Hit)
   | None ->
     record `Miss;
-    let r = Artemis_exec.Analytic.try_measure plan in
+    let r = Analytic.try_measure plan in
     Mutex.protect lock (fun () ->
         if not (Hashtbl.mem table key) then begin
           Hashtbl.replace table key r;

@@ -30,9 +30,11 @@ val try_measure_outcome :
 val bypass : bool ref
 
 (** Also persist entries under this directory (created if missing);
-    [None] turns the disk store off.  Stored entries carry their full
-    key and are verified on load, so digest collisions or stale formats
-    degrade to misses.  Each entry is written through its own temp file
+    [None] turns the disk store off.  Stored entries start with a header
+    naming the format and the shape of [Analytic.measurement], checked
+    before the payload is unmarshalled, and carry their full key,
+    verified on load; a stale format, a truncated file or a digest
+    collision is a miss.  Each entry is written through its own temp file
     and renamed into place, so processes may share the directory. *)
 val set_dir : string option -> unit
 

@@ -2,6 +2,7 @@
    the invariants each shape decision maintains. *)
 
 module A = Artemis_dsl.Ast
+module I = Artemis_dsl.Instantiate
 
 type case = {
   index : int;
@@ -379,6 +380,38 @@ let gen_dag rng =
      pipeline, the consumer). *)
   (prog, n_out >= 2)
 
+(* Raise every extent parameter that leaves some kernel's interior empty
+   (lint A202: the halos of chained reads outgrow the domain) to the
+   smallest extent with one interior point, the innermost rounded up to
+   the sector width.  Parameter [d] is the extent of iteration dimension
+   [d] in every generated program.  Draws nothing from any RNG, so
+   programs whose interiors are already non-empty come back unchanged. *)
+let widen_empty_interiors (prog : A.program) =
+  let need = Array.of_list (List.map snd prog.params) in
+  let rec walk items =
+    List.iter
+      (function
+        | I.Launch (k : I.kernel) ->
+          let lo, hi = Artemis_lint.Lint.clipped_interior k in
+          Array.iteri
+            (fun d l ->
+              if hi.(d) < l then need.(d) <- max need.(d) (k.domain.(d) + l - hi.(d)))
+            lo
+        | I.Exchange _ -> ()
+        | I.Repeat (_, sub) -> walk sub)
+      items
+  in
+  walk (I.schedule prog);
+  let inner = Array.length need - 1 in
+  let params =
+    List.mapi
+      (fun d (name, v) ->
+        let n = if d = inner && need.(d) > v then (need.(d) + 3) / 4 * 4 else need.(d) in
+        (name, n))
+      prog.params
+  in
+  { prog with params }
+
 let generate ~seed ~index =
   (* Self-dependent cases draw from a forked stream so enabling them
      left every pre-existing (seed, index) program byte-identical. *)
@@ -396,6 +429,7 @@ let generate ~seed ~index =
       gen_iterative ?deep:(if deep then Some drng else None) rng
     else gen_dag rng
   in
+  let prog = widen_empty_interiors prog in
   (* Generated programs are correct by construction; catching drift here
      (rather than downstream) keeps shrinking honest. *)
   Artemis_dsl.Check.check prog;

@@ -14,6 +14,9 @@
       run can produce NaN/infinity that would mask a mismatch;
     - the innermost extent is a multiple of the 32-byte sector width so
       the analytic counter model's block classes are exact;
+    - every kernel keeps a non-empty interior (no lint A202): an extent
+      too small for the halos of chained reads is widened to the
+      smallest that fits, without drawing from the RNG;
     - iterative cases keep order 1 and extents large enough that the
       fused-vs-ping-pong comparison has a non-empty deep interior; a
       forked-stream fraction of them runs a deep time loop (6..12

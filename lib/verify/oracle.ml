@@ -362,10 +362,11 @@ let check ?(lint = false) (prog : A.program) (trial : Sampler.trial) =
               if diff <> 0.0 then push (Output_mismatch { array = a; diff; margin }))
           prog.copyout;
         (* Invariant 4: on self-dependent programs the wavefront schedule
-           must be pure acceleration — re-running both executors with it
-           disabled (the guarded per-point fallback) must reproduce every
-           copied-out grid bit for bit.  Runner steps are store-free, so
-           the same configured plans re-execute on fresh stores. *)
+           must be pure acceleration — re-running both executors in the
+           [Guarded] mode (the guarded per-point fallback) must reproduce
+           every copied-out grid bit for bit.  Runner steps are
+           store-free, so the same configured plans re-execute on fresh
+           stores. *)
         let self_dependent =
           List.exists
             (fun (k : I.kernel) ->
@@ -383,29 +384,30 @@ let check ?(lint = false) (prog : A.program) (trial : Sampler.trial) =
         (match static_mismatches prog with
         | exception e -> push (Crash { detail = Printexc.to_string e })
         | ms -> List.iter push ms);
-        if self_dependent && E.Eval.wavefront_enabled () then
-          E.Eval.with_wavefront false (fun () ->
-              let compare_outputs executor base store =
-                List.iter
-                  (fun a ->
-                    match I.array_dims prog a with
-                    | None -> ()
-                    | Some _ ->
-                      let diff =
-                        E.Grid.max_abs_diff
-                          (E.Reference.find_array base a)
-                          (E.Reference.find_array store a)
-                      in
-                      if diff <> 0.0 then
-                        push (Wavefront_mismatch { executor; array = a; diff }))
-                  prog.copyout
-              in
-              let ref2 = E.Reference.store_of_program prog in
-              (match E.Reference.run_schedule ref2 ~scalars (I.schedule prog) with
-              | exception e -> push (Crash { detail = Printexc.to_string e })
-              | () -> compare_outputs "reference" ref_store ref2);
-              let exec2 = E.Reference.store_of_program prog in
-              match E.Runner.run_schedule steps exec2 ~scalars with
-              | exception e -> push (Crash { detail = Printexc.to_string e })
-              | _ -> compare_outputs "blocks" exec_store exec2);
+        if self_dependent && E.Eval.default_mode () = E.Eval.Split then begin
+          let mode = E.Eval.Guarded in
+          let compare_outputs executor base store =
+            List.iter
+              (fun a ->
+                match I.array_dims prog a with
+                | None -> ()
+                | Some _ ->
+                  let diff =
+                    E.Grid.max_abs_diff
+                      (E.Reference.find_array base a)
+                      (E.Reference.find_array store a)
+                  in
+                  if diff <> 0.0 then
+                    push (Wavefront_mismatch { executor; array = a; diff }))
+              prog.copyout
+          in
+          let ref2 = E.Reference.store_of_program prog in
+          (match E.Reference.run_schedule ~mode ref2 ~scalars (I.schedule prog) with
+          | exception e -> push (Crash { detail = Printexc.to_string e })
+          | () -> compare_outputs "reference" ref_store ref2);
+          let exec2 = E.Reference.store_of_program prog in
+          match E.Runner.run_schedule ~mode steps exec2 ~scalars with
+          | exception e -> push (Crash { detail = Printexc.to_string e })
+          | _ -> compare_outputs "blocks" exec_store exec2
+        end;
         Checked { plans = List.length plans; mismatches = List.rev !mismatches }))))

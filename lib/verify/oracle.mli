@@ -20,9 +20,10 @@
     plans that validate must also lint clean of errors.
 
     On self-dependent programs (Gauss-Seidel/SOR cases) a fourth
-    invariant pins the wavefront schedule: re-running both executors
-    under [Eval.with_wavefront false] (the guarded per-point fallback)
-    must reproduce every copied-out grid bit for bit.
+    invariant pins the wavefront schedule: re-running both executors in
+    the [Eval.Guarded] mode (the guarded per-point fallback) must
+    reproduce every copied-out grid bit for bit.  It is checked when the
+    default mode is [Eval.Split], the one that takes wavefronts.
 
     A fifth invariant pins the affine analyzer ([Artemis_static.Static])
     against dynamic behavior on the program's own schedule: every

@@ -1,5 +1,5 @@
-(* Observability tests: span nesting and ordering, histogram bucket
-   edges, Chrome-JSON well-formedness (round-trip through our own
+(* Observability tests: span nesting and ordering, metric registration
+   and snapshots, Chrome-JSON well-formedness (round-trip through our own
    parser), zero-cost disabled mode, and the stability of the
    --report-json schema on a suite stencil. *)
 
@@ -91,45 +91,6 @@ let tests =
           Alcotest.(check int) "no events allocated" 0 (Trace.event_count ());
           Alcotest.(check (list pass)) "empty buffer" [] (Trace.events ()))
       ;
-      case "histogram bucket edges are inclusive upper bounds" (fun () ->
-          let h = Metrics.histogram "test.hist" ~buckets:[| 1.0; 2.0; 5.0 |] in
-          List.iter (Metrics.observe h) [ 0.1; 1.0; 1.5; 2.0; 5.0; 5.1 ];
-          Alcotest.(check int) "count" 6 (Metrics.histogram_count h);
-          (match Metrics.histogram_buckets h with
-           | [ (le1, c1); (_le2, c2); (le5, c5); (inf_le, cinf) ] ->
-             Alcotest.(check (float 0.0)) "first bound" 1.0 le1;
-             Alcotest.(check int) "0.1 and 1.0 land at le=1" 2 c1;
-             Alcotest.(check int) "1.5 and 2.0 land at le=2" 2 c2;
-             Alcotest.(check (float 0.0)) "third bound" 5.0 le5;
-             Alcotest.(check int) "5.0 lands at le=5" 1 c5;
-             Alcotest.(check bool) "+Inf last" true (inf_le = infinity);
-             Alcotest.(check int) "5.1 overflows to +Inf" 1 cinf
-           | other ->
-             Alcotest.failf "expected 4 buckets, got %d" (List.length other));
-          Alcotest.(check (float 1e-9)) "sum" 14.7 (Metrics.histogram_sum h))
-      ;
-      case "histogram_quantile interpolates within buckets" (fun () ->
-          let h = Metrics.histogram "test.quant" ~buckets:[| 1.0; 2.0; 5.0 |] in
-          Alcotest.(check (option (float 0.0))) "empty histogram" None
-            (Metrics.histogram_quantile h 0.5);
-          List.iter (Metrics.observe h)
-            [ 0.25; 0.5; 0.75; 1.0; 1.2; 1.4; 1.6; 2.0 ];
-          let q p = Metrics.histogram_quantile h p in
-          Alcotest.(check (option (float 1e-9)))
-            "p50 at the first bucket's upper edge" (Some 1.0) (q 0.5);
-          Alcotest.(check (option (float 1e-9)))
-            "p75 interpolates halfway into the second bucket" (Some 1.5)
-            (q 0.75);
-          Alcotest.(check (option (float 1e-9)))
-            "p100 is the highest occupied edge" (Some 2.0) (q 1.0);
-          (* An overflow observation pushes high quantiles past every
-             finite bucket; the estimate clamps to the last finite bound
-             rather than reporting infinity. *)
-          Metrics.observe h 10.0;
-          Alcotest.(check (option (float 1e-9)))
-            "overflow mass clamps to the last finite bound" (Some 5.0)
-            (q 0.99))
-      ;
       case "counters and gauges register idempotently" (fun () ->
           let c = Metrics.counter "test.counter" ~labels:[ ("k", "v") ] in
           let c' = Metrics.counter ~labels:[ ("k", "v") ] "test.counter" in
@@ -140,10 +101,9 @@ let tests =
           Metrics.set g 7.0;
           Alcotest.(check (float 0.0)) "gauge" 7.0 (Metrics.gauge_value g))
       ;
-      case "metrics snapshot is parseable JSON with all three kinds" (fun () ->
+      case "metrics snapshot is parseable JSON with both kinds" (fun () ->
           Metrics.incr (Metrics.counter "test.snap_counter");
           Metrics.set (Metrics.gauge "test.snap_gauge") 1.25;
-          Metrics.observe (Metrics.histogram "test.snap_hist") 0.5;
           let doc = Json.parse (Json.to_string ~indent:true (Metrics.snapshot ())) in
           let section name =
             match Option.bind (Json.member name doc) Json.to_list_opt with
@@ -159,9 +119,7 @@ let tests =
           Alcotest.(check bool) "counter present" true
             (has "test.snap_counter" (section "counters"));
           Alcotest.(check bool) "gauge present" true
-            (has "test.snap_gauge" (section "gauges"));
-          Alcotest.(check bool) "histogram present" true
-            (has "test.snap_hist" (section "histograms")))
+            (has "test.snap_gauge" (section "gauges")))
       ;
       case "chrome export round-trips through the JSON parser" (fun () ->
           install_fake_clock ();

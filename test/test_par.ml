@@ -156,16 +156,21 @@ let eval_src =
     }
     s0 (u, v); copyout u;|}
 
-(* Run [f] with the evaluator pinned to one of its three modes. *)
-let with_eval_mode ~interp ~split f =
-  let si = !E.Eval.use_interpreter and ss = !E.Eval.use_split in
-  E.Eval.use_interpreter := interp;
-  E.Eval.use_split := split;
-  Fun.protect
-    ~finally:(fun () ->
-      E.Eval.use_interpreter := si;
-      E.Eval.use_split := ss)
-    f
+(* Reference and block-executor copyouts of [prog] under [mode]. *)
+let copyouts ~mode (prog : Artemis.Ast.program) =
+  let scalars = E.Reference.scalars_of_program prog in
+  let sched = Artemis.Instantiate.schedule prog in
+  let ref_store = E.Reference.store_of_program prog in
+  E.Reference.run_schedule ~mode ref_store ~scalars sched;
+  let store = E.Reference.store_of_program prog in
+  let steps =
+    E.Runner.configure ~plan_of:(fun k -> Util.valid_lower k O.default) sched
+  in
+  ignore (E.Runner.run_schedule ~mode steps store ~scalars);
+  List.concat_map
+    (fun n ->
+      [ E.Reference.find_array ref_store n; E.Reference.find_array store n ])
+    prog.copyout
 
 let eval_tests =
   [
@@ -174,25 +179,32 @@ let eval_tests =
         let prog = Artemis.parse_string eval_src in
         let k = Artemis.first_kernel prog in
         let scalars = E.Reference.scalars_of_program prog in
-        let run ~interp ~split =
-          with_eval_mode ~interp ~split (fun () ->
-              let store = E.Reference.store_of_program prog in
-              E.Reference.run_kernel store ~scalars k;
-              E.Reference.find_array store "u")
+        let run mode =
+          let store = E.Reference.store_of_program prog in
+          E.Reference.run_kernel ~mode store ~scalars k;
+          E.Reference.find_array store "u"
         in
-        let split = run ~interp:false ~split:true in
+        let split = run E.Eval.Split in
         Alcotest.(check (float 0.0))
           "split == interpreter" 0.0
-          (E.Grid.max_abs_diff split (run ~interp:true ~split:false));
+          (E.Grid.max_abs_diff split (run E.Eval.Interpreted));
         Alcotest.(check (float 0.0))
           "split == compiled" 0.0
-          (E.Grid.max_abs_diff split (run ~interp:false ~split:false)));
+          (E.Grid.max_abs_diff split (run E.Eval.Guarded)));
     case "fuzz: split on/off summaries identical at jobs=4" (fun () ->
-        let summary split =
-          with_globals ~jobs:4 ~force:true (fun () ->
-              with_eval_mode ~interp:false ~split fuzz_artifact)
-        in
-        Alcotest.(check string) "identical" (summary true) (summary false));
+        (* The mode travels with the call, so the wavefront bands the
+           pool runs on worker domains see it too. *)
+        with_globals ~jobs:4 ~force:true (fun () ->
+            for index = 0 to 5 do
+              let prog = (Artemis_verify.Gen.generate ~seed:5 ~index).prog in
+              List.iter2
+                (fun a b ->
+                  Alcotest.(check (float 0.0))
+                    (Printf.sprintf "case %d: split == guarded" index)
+                    0.0 (E.Grid.max_abs_diff a b))
+                (copyouts ~mode:E.Eval.Split prog)
+                (copyouts ~mode:E.Eval.Guarded prog)
+            done));
   ]
 
 let tests = ("par", pool_tests @ determinism_tests @ cache_tests @ eval_tests)

@@ -24,30 +24,11 @@ let dev = Artemis_gpu.Device.p100
 
 (* ---------------- modes ---------------- *)
 
-type mode = Interp | Compiled | Split
-
 let mode_name = function
-  | Interp -> "interpreter"
-  | Compiled -> "compiled"
-  | Split -> "split"
-
-let with_mode mode f =
-  let si = !Eval.use_interpreter and ss = !Eval.use_split in
-  (match mode with
-  | Interp ->
-    Eval.use_interpreter := true;
-    Eval.use_split := false
-  | Compiled ->
-    Eval.use_interpreter := false;
-    Eval.use_split := false
-  | Split ->
-    Eval.use_interpreter := false;
-    Eval.use_split := true);
-  Fun.protect
-    ~finally:(fun () ->
-      Eval.use_interpreter := si;
-      Eval.use_split := ss)
-    f
+  | Eval.Interpreted -> "interpreter"
+  | Eval.Guarded -> "compiled"
+  | Eval.Split_no_elim -> "split without elimination"
+  | Eval.Split -> "split"
 
 (* ---------------- partition property ---------------- *)
 
@@ -147,13 +128,22 @@ let mk_binder grids scalars iters =
 
 let ij shift_i shift_j = [ A.index ~iter:"i" shift_i; A.index ~iter:"j" shift_j ]
 
+(* The split lowering of [target[idx] = e], or [None] when the statement's
+   sweep order is observable (it is not [Sc_split]). *)
+let compile_split b ~target idx e =
+  match
+    (Eval.compile_stmt ~mode:Eval.Split b ~target ~accum:false idx e).sx_class
+  with
+  | Eval.Sc_split ss -> Some ss
+  | Eval.Sc_wavefront _ | Eval.Sc_guarded -> None
+
 let interior_tests =
   [
     case "split interior is exactly the in-bounds box" (fun () ->
         let u = E.Grid.create [| 12; 12 |] and v = E.Grid.create [| 12; 12 |] in
         let b = mk_binder [ ("u", u); ("v", v) ] [] [ "i"; "j" ] in
         let e = A.Access ("v", ij (-1) 2) in
-        let ss = Option.get (Eval.compile_split b ~target:u (ij 0 0) e) in
+        let ss = Option.get (compile_split b ~target:u (ij 0 0) e) in
         let interior = Eval.split_interior ss (Region.of_dims [| 12; 12 |]) in
         Alcotest.(check bool) "clipped to the read's reach" true
           (interior = [| (1, 11); (0, 9) |]));
@@ -161,7 +151,7 @@ let interior_tests =
         let u = E.Grid.create [| 12; 12 |] and v = E.Grid.create [| 12; 12 |] in
         let b = mk_binder [ ("u", u); ("v", v) ] [] [ "i"; "j" ] in
         let e = A.Access ("v", [ A.index 12; A.index ~iter:"j" 0 ]) in
-        let ss = Option.get (Eval.compile_split b ~target:u (ij 0 0) e) in
+        let ss = Option.get (compile_split b ~target:u (ij 0 0) e) in
         Alcotest.(check bool) "empty" true
           (Region.is_empty (Eval.split_interior ss (Region.of_dims [| 12; 12 |]))));
     case "flat rows equal guarded evaluation on the interior" (fun () ->
@@ -179,7 +169,7 @@ let interior_tests =
                 A.Access ("v", ij 0 0) )
           in
           let region = Region.of_dims [| n0; n1 |] in
-          let ss = Option.get (Eval.compile_split b ~target:u (ij 0 0) e) in
+          let ss = Option.get (compile_split b ~target:u (ij 0 0) e) in
           let interior = Eval.split_interior ss region in
           Region.iter_rows interior (fun p n -> Eval.run_row_assign ss p n);
           (* replay with the guarded compiled closures on a fresh grid *)
@@ -200,20 +190,20 @@ let fallback_tests =
         let u = E.Grid.create [| 8; 8 |] in
         let b = mk_binder [ ("u", u) ] [] [ "i"; "j" ] in
         Alcotest.(check bool) "None" true
-          (Eval.compile_split b ~target:u (ij 0 0) (A.Access ("u", ij 0 (-1)))
+          (compile_split b ~target:u (ij 0 0) (A.Access ("u", ij 0 (-1)))
           = None));
     case "self-read at the written cell still splits" (fun () ->
         let u = E.Grid.create [| 8; 8 |] in
         let b = mk_binder [ ("u", u) ] [] [ "i"; "j" ] in
         Alcotest.(check bool) "Some" true
-          (Eval.compile_split b ~target:u (ij 0 0) (A.Access ("u", ij 0 0))
+          (compile_split b ~target:u (ij 0 0) (A.Access ("u", ij 0 0))
           <> None));
     case "write not covering every iterator declines to split" (fun () ->
         let u = E.Grid.create [| 8; 8 |] and v = E.Grid.create [| 8; 8 |] in
         let b = mk_binder [ ("u", u); ("v", v) ] [] [ "i"; "j" ] in
         let widx = [ A.index ~iter:"i" 0; A.index ~iter:"i" 0 ] in
         Alcotest.(check bool) "None" true
-          (Eval.compile_split b ~target:u widx (A.Access ("v", ij 0 0)) = None));
+          (compile_split b ~target:u widx (A.Access ("v", ij 0 0)) = None));
     case "write not covering every iterator still splits when order-free"
       (fun () ->
         (* u[j] = f(u[j]) under iters (i, j): the free iterator i varies
@@ -224,14 +214,14 @@ let fallback_tests =
         let b = mk_binder [ ("u", u) ] [] [ "i"; "j" ] in
         let j0 = [ A.index ~iter:"j" 0 ] in
         Alcotest.(check bool) "Some" true
-          (Eval.compile_split b ~target:u j0 (A.Access ("u", j0)) <> None));
+          (compile_split b ~target:u j0 (A.Access ("u", j0)) <> None));
     case "free iterator varying a read still declines to split" (fun () ->
         (* u[j] = v[i]: successive i-iterations write different values
            to the same cell, so the last-writer order matters. *)
         let u = E.Grid.create [| 8 |] and v = E.Grid.create [| 8 |] in
         let b = mk_binder [ ("u", u); ("v", v) ] [] [ "i"; "j" ] in
         Alcotest.(check bool) "None" true
-          (Eval.compile_split b ~target:u
+          (compile_split b ~target:u
              [ A.index ~iter:"j" 0 ]
              (A.Access ("v", [ A.index ~iter:"i" 0 ]))
           = None));
@@ -248,14 +238,13 @@ let fallback_tests =
         let k = Artemis.first_kernel prog in
         let scalars = E.Reference.scalars_of_program prog in
         let run mode =
-          with_mode mode (fun () ->
-              let store = E.Reference.store_of_program prog in
-              E.Reference.run_kernel store ~scalars k;
-              E.Reference.find_array store "u")
+          let store = E.Reference.store_of_program prog in
+          E.Reference.run_kernel ~mode store ~scalars k;
+          E.Reference.find_array store "u"
         in
         Alcotest.(check (float 0.0))
           "identical" 0.0
-          (E.Grid.max_abs_diff (run Interp) (run Split)));
+          (E.Grid.max_abs_diff (run Eval.Interpreted) (run Eval.Split)));
   ]
 
 (* ---------------- whole-executor bit-identity ---------------- *)
@@ -263,13 +252,12 @@ let fallback_tests =
 (* Copyout grids after running a program's schedule through the
    reference executor under [mode]. *)
 let reference_outputs mode (prog : A.program) =
-  with_mode mode (fun () ->
-      let store = E.Reference.store_of_program prog in
-      E.Reference.run_schedule store
-        ~scalars:(E.Reference.scalars_of_program prog)
-        (I.schedule prog);
-      List.map (fun n -> (n, E.Grid.copy (E.Reference.find_array store n)))
-        prog.copyout)
+  let store = E.Reference.store_of_program prog in
+  E.Reference.run_schedule ~mode store
+    ~scalars:(E.Reference.scalars_of_program prog)
+    (I.schedule prog);
+  List.map (fun n -> (n, E.Grid.copy (E.Reference.find_array store n)))
+    prog.copyout
 
 (* Same through the block executor, one plan per kernel; block shapes
    shrink until launchable, as the tuner's validity filter would. *)
@@ -292,17 +280,16 @@ let plan_of_opts opts k =
   shrink p 12
 
 let runner_outputs mode opts (prog : A.program) =
-  with_mode mode (fun () ->
-      let store = E.Reference.store_of_program prog in
-      let steps =
-        E.Runner.configure ~plan_of:(plan_of_opts opts) (I.schedule prog)
-      in
-      let _ =
-        E.Runner.run_schedule steps store
-          ~scalars:(E.Reference.scalars_of_program prog)
-      in
-      List.map (fun n -> (n, E.Grid.copy (E.Reference.find_array store n)))
-        prog.copyout)
+  let store = E.Reference.store_of_program prog in
+  let steps =
+    E.Runner.configure ~plan_of:(plan_of_opts opts) (I.schedule prog)
+  in
+  let _ =
+    E.Runner.run_schedule ~mode steps store
+      ~scalars:(E.Reference.scalars_of_program prog)
+  in
+  List.map (fun n -> (n, E.Grid.copy (E.Reference.find_array store n)))
+    prog.copyout
 
 let check_identical label outs outs' =
   List.iter2
@@ -313,13 +300,13 @@ let check_identical label outs outs' =
     outs outs'
 
 let modes_identical ~outputs what =
-  let base = outputs Split in
+  let base = outputs Eval.Split in
   List.iter
     (fun mode ->
       check_identical
         (Printf.sprintf "%s: split vs %s" what (mode_name mode))
         base (outputs mode))
-    [ Interp; Compiled ]
+    [ Eval.Interpreted; Eval.Guarded ]
 
 let suite_mode_cases =
   List.map
@@ -371,7 +358,7 @@ let metrics_tests =
         let before_halo = Metrics.counter_value m_halo in
         let before_elim = Metrics.counter_value m_elim in
         let b = Suite.at_size 12 (Suite.find "7pt-smoother") in
-        ignore (reference_outputs Split b.prog);
+        ignore (reference_outputs Eval.Split b.prog);
         Alcotest.(check bool) "interior points counted" true
           (Metrics.counter_value m_int > before_int);
         (* under static elimination (the default) the shells are proven
@@ -382,15 +369,14 @@ let metrics_tests =
           before_halo (Metrics.counter_value m_halo);
         (* with elimination off, the shells take the guarded halo path *)
         let after_elim = Metrics.counter_value m_elim in
-        Eval.with_static_elim false (fun () ->
-            ignore (reference_outputs Split b.prog));
+        ignore (reference_outputs Eval.Split_no_elim b.prog);
         Alcotest.(check bool) "halo points counted without elimination" true
           (Metrics.counter_value m_halo > before_halo);
         Alcotest.(check (float 0.0)) "elimination off adds none" after_elim
           (Metrics.counter_value m_elim);
         (* the guarded baseline never touches the interior counter *)
         let after_int = Metrics.counter_value m_int in
-        ignore (reference_outputs Compiled b.prog);
+        ignore (reference_outputs Eval.Guarded b.prog);
         Alcotest.(check (float 0.0)) "baseline adds none" after_int
           (Metrics.counter_value m_int));
     case "elimination on/off bit-identical on suite programs" (fun () ->
@@ -399,9 +385,8 @@ let metrics_tests =
             let b = Suite.at_size 12 (Suite.find bname) in
             check_identical
               (bname ^ ": elim on vs off")
-              (reference_outputs Split b.prog)
-              (Eval.with_static_elim false (fun () ->
-                   reference_outputs Split b.prog)))
+              (reference_outputs Eval.Split b.prog)
+              (reference_outputs Eval.Split_no_elim b.prog))
           [ "7pt-smoother"; "denoise"; "rhs4center" ]);
   ]
 
@@ -431,28 +416,27 @@ let wf_sor3d_src =
     sor (u); copyout u;|}
 
 (* The full executor matrix on one self-dependent program: interpreter,
-   guarded fallback ([with_wavefront false] under split mode), and the
-   wavefront schedule, through the reference and block executors — all
+   guarded fallback ([Eval.Guarded]), and the wavefront schedule
+   ([Eval.Split]), through the reference and block executors — all
    bit-identical. *)
 let wavefront_matrix_case name src =
   case (Printf.sprintf "%s: interpreter/guarded/wavefront bit-identical" name)
     (fun () ->
       let module O = Artemis_codegen.Options in
       let prog = Artemis.parse_string src in
-      let wf = reference_outputs Split prog in
+      let wf = reference_outputs Eval.Split prog in
       check_identical (name ^ ": wavefront vs interpreter") wf
-        (reference_outputs Interp prog);
+        (reference_outputs Eval.Interpreted prog);
       check_identical (name ^ ": wavefront vs guarded") wf
-        (Eval.with_wavefront false (fun () -> reference_outputs Split prog));
-      let bwf = runner_outputs Split O.default prog in
+        (reference_outputs Eval.Guarded prog);
+      let bwf = runner_outputs Eval.Split O.default prog in
       check_identical (name ^ ": blocks wavefront vs reference") wf bwf;
       check_identical
         (name ^ ": blocks wavefront vs blocks guarded")
         bwf
-        (Eval.with_wavefront false (fun () ->
-             runner_outputs Split O.default prog)))
+        (runner_outputs Eval.Guarded O.default prog))
 
-(* [reference_outputs Split] at the given job count, with the pool's
+(* [reference_outputs Eval.Split] at the given job count, with the pool's
    core-count clamp disabled so jobs=4 exercises the queue even on
    single-core hosts; returns the copyout grids and the decision
    journal. *)
@@ -466,7 +450,7 @@ let wavefront_run_at_jobs prog jobs =
       Pool.force_parallel := sf)
     (fun () ->
       Journal.start ();
-      let outs = reference_outputs Split prog in
+      let outs = reference_outputs Eval.Split prog in
       Journal.stop ();
       (outs, Journal.to_jsonl ()))
 
@@ -535,14 +519,13 @@ let wavefront_tests =
         let m_gd = Metrics.counter "exec.guarded_points" in
         let prog = Artemis.parse_string wf_gs2d_src in
         let before_wf = Metrics.counter_value m_wf in
-        ignore (reference_outputs Split prog);
+        ignore (reference_outputs Eval.Split prog);
         Alcotest.(check bool) "wavefront points counted" true
           (Metrics.counter_value m_wf > before_wf);
         (* the guarded fallback charges the guarded counter instead *)
         let after_wf = Metrics.counter_value m_wf in
         let before_gd = Metrics.counter_value m_gd in
-        Eval.with_wavefront false (fun () ->
-            ignore (reference_outputs Split prog));
+        ignore (reference_outputs Eval.Guarded prog);
         Alcotest.(check (float 0.0)) "fallback adds no wavefront points"
           after_wf (Metrics.counter_value m_wf);
         Alcotest.(check bool) "fallback charges guarded points" true

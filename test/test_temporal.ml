@@ -75,33 +75,6 @@ let gauss_seidel_src =
     iterate 6 { gs (out, inp); swap (out, inp); }
     copyout out;|}
 
-(* ---------------- executor modes ---------------- *)
-
-type mode = Interp | Compiled | Split
-
-let mode_name = function
-  | Interp -> "interpreter"
-  | Compiled -> "compiled"
-  | Split -> "split"
-
-let with_mode mode f =
-  let si = !Eval.use_interpreter and ss = !Eval.use_split in
-  (match mode with
-  | Interp ->
-    Eval.use_interpreter := true;
-    Eval.use_split := false
-  | Compiled ->
-    Eval.use_interpreter := false;
-    Eval.use_split := false
-  | Split ->
-    Eval.use_interpreter := false;
-    Eval.use_split := true);
-  Fun.protect
-    ~finally:(fun () ->
-      Eval.use_interpreter := si;
-      Eval.use_split := ss)
-    f
-
 (* ---------------- helpers ---------------- *)
 
 let pingpong_kernel src =
@@ -156,16 +129,16 @@ let count_blocked steps =
   !n
 
 (* Run [src]'s schedule unblocked through the reference executor and
-   blocked at [degree] through the block executor; every copyout array
-   must match bit for bit. *)
-let blocked_vs_unblocked ?(halo = Plan.Halo_recompute)
+   blocked at [degree] through the block executor, both under [mode];
+   every copyout array must match bit for bit. *)
+let blocked_vs_unblocked ?mode ?(halo = Plan.Halo_recompute)
     ?(tbuf = Plan.Shared_double) ~degree src =
   let prog = Artemis.parse_string src in
   Check.check prog;
   let sched = I.schedule prog in
   let scalars = E.Reference.scalars_of_program prog in
   let ref_store = E.Reference.store_of_program prog in
-  E.Reference.run_schedule ref_store ~scalars sched;
+  E.Reference.run_schedule ?mode ref_store ~scalars sched;
   let store = E.Reference.store_of_program prog in
   let plan_of k = Util.valid_lower k O.default in
   let steps = E.Runner.configure ~plan_of sched in
@@ -173,7 +146,7 @@ let blocked_vs_unblocked ?(halo = Plan.Halo_recompute)
   Alcotest.(check bool)
     "rewrite produced a blocked plan" true
     (count_blocked blocked > count_blocked steps);
-  let _counters = E.Runner.run_schedule blocked store ~scalars in
+  let _counters = E.Runner.run_schedule ?mode blocked store ~scalars in
   List.iter
     (fun name ->
       let a = E.Reference.find_array ref_store name in
@@ -220,11 +193,10 @@ let equality_cases =
   [ case "streamed blocked = unblocked, all modes, degrees 2-5" (fun () ->
         List.iter
           (fun mode ->
-            with_mode mode (fun () ->
-                List.iter
-                  (fun degree -> blocked_vs_unblocked ~degree (jacobi_src 12))
-                  [ 2; 3; 4; 5 ]))
-          [ Interp; Compiled; Split ]);
+            List.iter
+              (fun degree -> blocked_vs_unblocked ~mode ~degree (jacobi_src 12))
+              [ 2; 3; 4; 5 ])
+          [ Eval.Interpreted; Eval.Guarded; Eval.Split ]);
     case "degree with remainder (T=11, b=3) is exact" (fun () ->
         blocked_vs_unblocked ~degree:3 (jacobi_src 11));
     case "degree = T collapses to one launch and is exact" (fun () ->

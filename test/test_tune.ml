@@ -222,6 +222,43 @@ let tests =
               Alcotest.(check (list string)) "one entry, no temp file"
                 [ Digest.to_hex (Digest.string (Mc.key_of p)) ^ ".cache" ]
                 (files ())));
+      case "disk cache misses on a header-less or truncated entry" (fun () ->
+          let module Mc = Artemis_tune.Measure_cache in
+          let d = Filename.temp_file "artemis-cache" "" in
+          Sys.remove d;
+          let files () = Array.to_list (Sys.readdir d) in
+          Mc.set_dir (Some d);
+          Fun.protect
+            ~finally:(fun () ->
+              Mc.set_dir None;
+              Mc.clear ();
+              List.iter (fun f -> Sys.remove (Filename.concat d f)) (files ());
+              Sys.rmdir d)
+            (fun () ->
+              let p = Lower.lower dev (jacobi ~n:32 ()) O.default in
+              let key = Mc.key_of p in
+              let path =
+                Filename.concat d (Digest.to_hex (Digest.string key) ^ ".cache")
+              in
+              let write bytes =
+                Out_channel.with_open_bin path (fun oc -> output_string oc bytes)
+              in
+              (* An entry in the pre-header format, answering "invalid". *)
+              write
+                (Marshal.to_string
+                   (key, (None : Artemis_exec.Analytic.measurement option))
+                   []);
+              Mc.clear ();
+              let m, o = Mc.try_measure_outcome p in
+              Alcotest.(check bool) "header-less entry misses" true (o = `Miss);
+              Alcotest.(check bool) "and the plan is measured" true
+                (Option.is_some m);
+              let whole = In_channel.with_open_bin path In_channel.input_all in
+              write (String.sub whole 0 (String.length whole / 2));
+              Mc.clear ();
+              let m', o' = Mc.try_measure_outcome p in
+              Alcotest.(check bool) "truncated entry misses" true (o' = `Miss);
+              Alcotest.(check bool) "same measurement" true (m = m')));
       case "deep exploration picks the degree jointly with the width" (fun () ->
           let k = jacobi () in
           let plan_of fused = Lower.lower dev fused O.default in

@@ -178,4 +178,18 @@ let tests =
              pipeline stage; it must now complete and stay clean. *)
           let s = Harness.run ~seed:7 ~cases:50 () in
           Alcotest.(check int) "no findings" 0 (List.length s.Harness.findings));
+      case "pin: generated interiors are never empty (seed 1008, case 59)"
+        (fun () ->
+          (* Chained +-2 halos on a 5-point outer extent left no interior
+             point (A202); the generator now widens such extents. *)
+          let module Lint = Artemis_lint.Lint in
+          let c = Gen.generate ~seed:1008 ~index:59 in
+          let errors =
+            List.filter_map
+              (fun (f : Lint.finding) ->
+                if f.severity = Lint.Error then Some (f.code ^ ": " ^ f.message)
+                else None)
+              (Lint.lint_program c.Gen.prog)
+          in
+          Alcotest.(check (list string)) "no lint errors" [] errors);
     ] )
