@@ -2,8 +2,9 @@
 
 TRACE   := /tmp/artemis-trace.json
 REPORT  := /tmp/artemis-report.json
+CACHE   := /tmp/artemis-cache-smoke
 
-.PHONY: all build test check bench trace-smoke lint-smoke analyze-smoke fuzz-smoke perf-smoke wavefront-smoke tb-smoke model-smoke obs-smoke perfbench-selftest clean
+.PHONY: all build test check bench trace-smoke lint-smoke analyze-smoke fuzz-smoke cache-smoke perf-smoke wavefront-smoke tb-smoke model-smoke obs-smoke perfbench-selftest clean
 
 all: build
 
@@ -22,6 +23,7 @@ check:
 	$(MAKE) lint-smoke
 	$(MAKE) analyze-smoke
 	$(MAKE) fuzz-smoke
+	$(MAKE) cache-smoke
 	$(MAKE) perf-smoke
 	$(MAKE) wavefront-smoke
 	$(MAKE) tb-smoke
@@ -62,13 +64,40 @@ analyze-smoke:
 	@rm -f /tmp/artemis-analyze-a.json /tmp/artemis-analyze-b.json
 
 # Differential verification smoke test (docs/VERIFY.md): seed 42 is the
-# acceptance seed, seed 7 once crashed the pipeline and seed 1008 once
-# generated an empty interior (A202); both stay pinned.  All replay with
-# the lint invariant armed (no Error finding on any accepted pair).
+# acceptance seed, seed 7 once crashed the pipeline, seed 1008 once
+# generated an empty interior (A202) and seed 18 once caught an inexact
+# class sum for a temporally blocked plan; all stay pinned.  All replay
+# with the lint invariant armed (no Error finding on any accepted pair).
 fuzz-smoke:
 	dune exec bin/artemisc.exe -- fuzz --seed 42 --cases 25 --lint
 	dune exec bin/artemisc.exe -- fuzz --seed 7 --cases 25 --lint
 	dune exec bin/artemisc.exe -- fuzz --seed 1008 --cases 60 --lint
+	dune exec bin/artemisc.exe -- fuzz --seed 18 --cases 30 --lint
+
+# Measurement-cache replay (docs/PERF.md): entries truncated to half
+# their size, then entries carrying another format version's header,
+# must read as misses, so each rerun re-measures and emits the same CUDA
+# as the cold run.  A skewed entry's payload is still well formed, so
+# the last loop checks that the rerun rewrote every one of them.
+cache-smoke:
+	rm -rf $(CACHE) && mkdir -p $(CACHE)
+	dune exec bin/artemisc.exe -- optimize examples/jacobi.stc \
+	  --cache-dir $(CACHE)/d -o $(CACHE)/cold.cu
+	for f in $(CACHE)/d/*.cache; do \
+	  truncate -s $$(( $$(stat -c %s $$f) / 2 )) $$f || exit 1; done
+	dune exec bin/artemisc.exe -- optimize examples/jacobi.stc \
+	  --cache-dir $(CACHE)/d -o $(CACHE)/truncated.cu
+	cmp $(CACHE)/cold.cu $(CACHE)/truncated.cu && echo "truncated cache replays"
+	for f in $(CACHE)/d/*.cache; do \
+	  printf 'artemis-measure-cache-0:' \
+	    | dd of=$$f bs=1 conv=notrunc status=none || exit 1; done
+	dune exec bin/artemisc.exe -- optimize examples/jacobi.stc \
+	  --cache-dir $(CACHE)/d -o $(CACHE)/skewed.cu
+	cmp $(CACHE)/cold.cu $(CACHE)/skewed.cu && echo "version-skewed cache replays"
+	for f in $(CACHE)/d/*.cache; do \
+	  [ "$$(head -c 24 $$f)" != 'artemis-measure-cache-0:' ] \
+	    || { echo "$$f: skewed entry was read, not re-measured"; exit 1; }; done
+	@rm -rf $(CACHE) examples/jacobi.stc.report.txt examples/jacobi.stc.*-fission.stc
 
 # Host-side performance smoke test (docs/PERF.md): a tiny tuner/fuzzer
 # workload at jobs=2 must beat the pre-PR serial configuration and

@@ -1197,13 +1197,29 @@ let dependent_report rows =
    ([Eval.Split_no_elim] — same splitting, no elimination),
    with bit-identical grids. *)
 
-let tally_total (t : Artemis_exec.Region.tally) =
-  t.t_interior +. t.t_halo +. t.t_wavefront +. t.t_guarded +. t.t_eliminated
+(* Points charged to each execution class ([exec.<class>_points]
+   counter deltas) while [f] runs.  The run is serial and wavefront
+   bands charge the calling domain, so the deltas are [f]'s alone. *)
+let point_classes = [ "interior"; "halo"; "wavefront"; "guarded"; "eliminated" ]
 
-let tally_unguarded (t : Artemis_exec.Region.tally) =
-  t.t_interior +. t.t_wavefront +. t.t_eliminated
+let points_charged f =
+  let read () =
+    List.map
+      (fun c ->
+        Artemis.Metrics.counter_value
+          (Artemis.Metrics.counter ("exec." ^ c ^ "_points")))
+      point_classes
+  in
+  let before = read () in
+  let v = f () in
+  (v, List.combine point_classes (List.map2 ( -. ) (read ()) before))
 
-let unguarded_fraction t = tally_unguarded t /. Float.max (tally_total t) 1.0
+let points_total t = List.fold_left (fun a (_, n) -> a +. n) 0.0 t
+
+let points_unguarded t =
+  List.assoc "interior" t +. List.assoc "wavefront" t +. List.assoc "eliminated" t
+
+let unguarded_fraction t = points_unguarded t /. Float.max (points_total t) 1.0
 
 let elimination_rows ~size =
   let names = [ "7pt-smoother"; "27pt-smoother"; "helmholtz"; "denoise" ] in
@@ -1220,20 +1236,18 @@ let elimination_rows ~size =
             (n, Artemis_exec.Grid.copy (Artemis.Reference.find_array store n)))
           prog.copyout
       in
-      let out_on, t_on = Artemis_exec.Region.with_tally (run Artemis.Eval.Split) in
-      let out_off, t_off =
-        Artemis_exec.Region.with_tally (run Artemis.Eval.Split_no_elim)
-      in
+      let out_on, t_on = points_charged (run Artemis.Eval.Split) in
+      let out_off, t_off = points_charged (run Artemis.Eval.Split_no_elim) in
       (name, t_on, t_off, outputs_equal out_on out_off))
     names
 
 let elimination_report rows =
   let sum f = List.fold_left (fun a (_, t1, t2, _) -> a +. f t1 t2) 0.0 rows in
-  let ug_on = sum (fun t _ -> tally_unguarded t)
-  and tot_on = sum (fun t _ -> tally_total t)
-  and ug_off = sum (fun _ t -> tally_unguarded t)
-  and tot_off = sum (fun _ t -> tally_total t)
-  and eliminated = sum (fun t _ -> t.Artemis_exec.Region.t_eliminated) in
+  let ug_on = sum (fun t _ -> points_unguarded t)
+  and tot_on = sum (fun t _ -> points_total t)
+  and ug_off = sum (fun _ t -> points_unguarded t)
+  and tot_off = sum (fun _ t -> points_total t)
+  and eliminated = sum (fun t _ -> List.assoc "eliminated" t) in
   let frac_on = ug_on /. Float.max tot_on 1.0
   and frac_off = ug_off /. Float.max tot_off 1.0 in
   let ratio = frac_on /. Float.max frac_off 1e-9 in
@@ -1242,12 +1256,11 @@ let elimination_report rows =
   (frac_on, frac_off, ratio, increased, equal)
 
 (* ------------------------------------------------------------------ *)
-(* Jobs determinism: grids and journal at jobs=1 vs jobs=4              *)
+(* Jobs determinism: grids at jobs=1 vs jobs=4                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Wavefront bands fan out over the pool; the journal folds worker
-   events at canonical points.  Both the copyout grids and the recorded
-   journal must be byte-identical at any worker count. *)
+(* Wavefront bands fan out over the pool; the copyout grids must be
+   byte-identical at any worker count. *)
 let jobs_determinism () =
   let progs =
     [ (Suite.at_size 24 (Suite.find "7pt-smoother")).prog;
@@ -1255,22 +1268,16 @@ let jobs_determinism () =
   in
   let run jobs =
     Artemis.Pool.set_jobs jobs;
-    Artemis.Journal.start ();
-    let outs =
-      List.concat_map
-        (fun p ->
-          let _, _, outs = exec_run ~mode:Artemis.Eval.Split p in
-          outs)
-        progs
-    in
-    let jl = Artemis.Journal.to_jsonl () in
-    Artemis.Journal.stop ();
-    (outs, jl)
+    List.concat_map
+      (fun p ->
+        let _, _, outs = exec_run ~mode:Artemis.Eval.Split p in
+        outs)
+      progs
   in
-  let o1, j1 = run 1 in
-  let o4, j4 = run 4 in
+  let o1 = run 1 in
+  let o4 = run 4 in
   Artemis.Pool.set_jobs 1;
-  (outputs_equal o1 o4, j1 = j4)
+  outputs_equal o1 o4
 
 (* ------------------------------------------------------------------ *)
 (* Degree-N temporal blocking: traffic reduction and exactness          *)
@@ -1358,7 +1365,7 @@ let temporal_equal_rows () =
       else None)
     Suite.all
 
-let write_exec_json matrix dep_rows elim_rows (jobs_outs_eq, jobs_journal_eq)
+let write_exec_json matrix dep_rows elim_rows jobs_outs_eq
     temporal_rows temporal_eq =
   let module J = Artemis.Json in
   let speedup_vs_compiled, speedup_vs_interp, equal = exec_report matrix in
@@ -1410,8 +1417,7 @@ let write_exec_json matrix dep_rows elim_rows (jobs_outs_eq, jobs_journal_eq)
                     ("unguarded_fraction_elim", J.Float (unguarded_fraction t_on));
                     ("unguarded_fraction_noelim",
                      J.Float (unguarded_fraction t_off));
-                    ("eliminated_points",
-                     J.Float t_on.Artemis_exec.Region.t_eliminated);
+                    ("eliminated_points", J.Float (List.assoc "eliminated" t_on));
                     ("outputs_equal", J.Bool eq) ])
               elim_rows));
         ("speedup_split_vs_compiled", J.Float speedup_vs_compiled);
@@ -1440,7 +1446,6 @@ let write_exec_json matrix dep_rows elim_rows (jobs_outs_eq, jobs_journal_eq)
                   [ ("name", J.Str name); ("blocked_outputs_equal", J.Bool eq) ])
               temporal_eq));
         ("jobs_outputs_equal", J.Bool jobs_outs_eq);
-        ("jobs_journal_equal", J.Bool jobs_journal_eq);
         ("outputs_equal", J.Bool equal);
         ("wavefront_outputs_equal", J.Bool dep_equal) ]
   in
@@ -1483,16 +1488,16 @@ let exec_bench () =
         name
         (100.0 *. unguarded_fraction t_on)
         (100.0 *. unguarded_fraction t_off)
-        t_on.Artemis_exec.Region.t_eliminated eq)
+        (List.assoc "eliminated" t_on) eq)
     elim_rows;
   let frac_on, frac_off, elim_ratio, elim_increased, elim_equal =
     elimination_report elim_rows
   in
   Printf.printf "unguarded fraction           : %.1f%% vs %.1f%% (%.3fx, increased %b, equal %b)\n%!"
     (100.0 *. frac_on) (100.0 *. frac_off) elim_ratio elim_increased elim_equal;
-  header "Jobs determinism: grids and journal at jobs=1 vs jobs=4";
-  let (jobs_outs_eq, jobs_journal_eq) as jobs_eq = jobs_determinism () in
-  Printf.printf "outputs equal %b, journal equal %b\n%!" jobs_outs_eq jobs_journal_eq;
+  header "Jobs determinism: grids at jobs=1 vs jobs=4";
+  let jobs_eq = jobs_determinism () in
+  Printf.printf "outputs equal %b\n%!" jobs_eq;
   header "Degree-N temporal blocking: chosen degrees and DRAM traffic";
   let temporal_rows = temporal_deep_rows () in
   List.iter

@@ -22,8 +22,6 @@ module Launch = Artemis_ir.Launch
 module Validate = Artemis_ir.Validate
 module Counters = Artemis_gpu.Counters
 module Trace = Artemis_obs.Trace
-module Journal = Artemis_obs.Journal
-module Json = Artemis_obs.Json
 
 exception Unsupported of string
 
@@ -253,22 +251,7 @@ let run_plain ~mode (plan : Plan.t) (store : Reference.store) ~scalars =
         launch (d + 1)
       done
   in
-  (* With the journal on, each launch records how many points took the
-     unguarded interior fast path vs the guarded halo path — the
-     observable effect of loop splitting, per launch rather than as a
-     global counter delta. *)
-  if Journal.enabled () then begin
-    let (), tally = Region.with_tally (fun () -> launch 0) in
-    Journal.append "exec.split"
-      [ ("kernel", Json.Str k.kname); ("executor", Json.Str "blocks");
-        ("split", Json.Bool (Eval.splits mode));
-        ("interior_points", Json.Float tally.t_interior);
-        ("halo_points", Json.Float tally.t_halo);
-        ("wavefront_points", Json.Float tally.t_wavefront);
-        ("guarded_points", Json.Float tally.t_guarded);
-        ("eliminated_points", Json.Float tally.t_eliminated) ]
-  end
-  else launch 0;
+  launch 0;
   Traffic.total_counters ctx
 
 (* ------------------------------------------------------------------ *)

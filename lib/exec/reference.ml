@@ -125,19 +125,7 @@ let run_kernel ?(mode = Eval.default_mode ()) (store : store) ~scalars
     | A.Assign (a, idx, e) -> sweep_stmt ~accum:false (resolve_array a) idx e
     | A.Accum (a, idx, e) -> sweep_stmt ~accum:true (resolve_array a) idx e
   in
-  if Artemis_obs.Journal.enabled () then begin
-    let module Json = Artemis_obs.Json in
-    let (), tally = Region.with_tally (fun () -> List.iter run_sweep k.body) in
-    Artemis_obs.Journal.append "exec.split"
-      [ ("kernel", Json.Str k.kname); ("executor", Json.Str "reference");
-        ("split", Json.Bool (Eval.splits mode));
-        ("interior_points", Json.Float tally.t_interior);
-        ("halo_points", Json.Float tally.t_halo);
-        ("wavefront_points", Json.Float tally.t_wavefront);
-        ("guarded_points", Json.Float tally.t_guarded);
-        ("eliminated_points", Json.Float tally.t_eliminated) ]
-  end
-  else List.iter run_sweep k.body
+  List.iter run_sweep k.body
 
 (** Degree-[degree] temporally blocked execution of one ping-pong step
     kernel: the composition [(launch; exchange)^(degree-1); launch] —

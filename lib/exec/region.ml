@@ -122,64 +122,15 @@ let m_wavefront = Metrics.counter "exec.wavefront_points"
 let m_guarded = Metrics.counter "exec.guarded_points"
 let m_eliminated = Metrics.counter "exec.eliminated_points"
 
-type tally = {
-  mutable t_interior : float;
-  mutable t_halo : float;
-  mutable t_wavefront : float;
-  mutable t_guarded : float;
-  mutable t_eliminated : float;
-}
-
-(* Per-domain scoped tally: the global counters aggregate every launch
-   on every domain, so a caller wanting one launch's split (the journal's
-   exec.split events) can't diff them under parallel fuzzing.  The DLS
-   slot only sees sweeps from its own domain — exactly the launch the
-   wrapper is running. *)
-let tally_slot : tally option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let charge counter sel n =
-  Metrics.incr ~by:n counter;
-  match !(Domain.DLS.get tally_slot) with
-  | Some t -> sel t n
-  | None -> ()
-
-let charge_interior =
-  charge m_interior (fun t n -> t.t_interior <- t.t_interior +. n)
-
-let charge_halo = charge m_halo (fun t n -> t.t_halo <- t.t_halo +. n)
-
-let charge_wavefront =
-  charge m_wavefront (fun t n -> t.t_wavefront <- t.t_wavefront +. n)
-
-let charge_guarded =
-  charge m_guarded (fun t n -> t.t_guarded <- t.t_guarded +. n)
-
-let charge_eliminated =
-  charge m_eliminated (fun t n -> t.t_eliminated <- t.t_eliminated +. n)
-
-let with_tally f =
-  let slot = Domain.DLS.get tally_slot in
-  let saved = !slot in
-  let t =
-    {
-      t_interior = 0.0;
-      t_halo = 0.0;
-      t_wavefront = 0.0;
-      t_guarded = 0.0;
-      t_eliminated = 0.0;
-    }
-  in
-  slot := Some t;
-  Fun.protect
-    ~finally:(fun () -> slot := saved)
-    (fun () ->
-      let v = f () in
-      (v, t))
+let charge_interior n = Metrics.incr ~by:n m_interior
+let charge_halo n = Metrics.incr ~by:n m_halo
+let charge_wavefront n = Metrics.incr ~by:n m_wavefront
+let charge_guarded n = Metrics.incr ~by:n m_guarded
+let charge_eliminated n = Metrics.incr ~by:n m_eliminated
 
 (** Guarded fallback sweep over a whole region (no interior carved out),
-    charged to [exec.guarded_points] so [artemisc explain] reports the
-    fallback path distinctly from boundary shells. *)
+    charged to [exec.guarded_points] so the fallback path is counted
+    apart from boundary shells. *)
 let sweep_guarded ?point ~(region : box) guarded =
   iter_points ?point region guarded;
   charge_guarded (float_of_int (volume region))

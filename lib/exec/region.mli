@@ -40,31 +40,11 @@ val iter_points : ?point:int array -> box -> (int array -> unit) -> unit
     the row's low bound; a reused buffer) and the row length [n]. *)
 val iter_rows : ?point:int array -> box -> (int array -> int -> unit) -> unit
 
-(** One scope's point counts per execution class, as accumulated by
-    {!with_tally}: split interior rows, guarded boundary shells,
-    wavefront flat row segments, and whole-region guarded fallbacks. *)
-type tally = {
-  mutable t_interior : float;
-  mutable t_halo : float;
-  mutable t_wavefront : float;
-  mutable t_guarded : float;
-  mutable t_eliminated : float;
-      (** shell points skipped under a static in-bounds proof *)
-}
-
-(** [with_tally f] runs [f] with a fresh per-domain tally installed and
-    returns its result paired with the points the sweeps below [f]
-    charged.  Scoped to the calling domain, so concurrent launches on
-    pool workers don't bleed into each other (unlike diffing the global
-    counters); nested scopes shadow — the inner scope's points are not
-    added to the outer one. *)
-val with_tally : (unit -> 'a) -> 'a * tally
-
 (** Charge [n] points to [exec.wavefront_points] (flat row segments run
-    inside a wavefront) / [exec.halo_points] on the current domain's
-    tally scope.  Exposed for the {!Wavefront} driver, which accounts
-    its points centrally on the calling domain so parallel bands stay
-    byte-identical to the serial sweep. *)
+    inside a wavefront) / [exec.halo_points].  Exposed for the
+    {!Wavefront} driver, which accounts its points centrally on the
+    calling domain so parallel bands count the same as the serial
+    sweep. *)
 val charge_wavefront : float -> unit
 
 val charge_halo : float -> unit

@@ -630,10 +630,14 @@ let block_counters ctx (block : int array) =
 (* Whole-grid summation via block classes                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Blocks fall into at most 3 classes per dimension (first, middle, last);
-   all middle blocks see identical clipping and row alignments whenever
-   tile extents keep sector alignment, so one representative per class
-   combination suffices.  [exact] forces the full per-block loop. *)
+(* Along each dimension, the [w] blocks nearest either face each form
+   their own class and the rest form one middle class, where [w] covers
+   the widest halo a block stages: the largest buffer or statement
+   extent, times the temporal degree (a degree-b launch stages its
+   input with the halo grown to b x extent).  All middle blocks see
+   identical clipping and row alignments whenever tile extents keep
+   sector alignment, so one representative per class combination
+   suffices.  [exact] forces the full per-block loop. *)
 let total_counters ?(exact = false) ctx =
   let g = ctx.geom in
   let r = g.rank in
@@ -659,7 +663,9 @@ let total_counters ?(exact = false) ctx =
   end
   else begin
     (* Boundary influence width in blocks: how many blocks from each face
-       see clipped regions (halo may span several tiles). *)
+       see clipped regions (halo may span several tiles, and a temporal
+       launch's staged halo is [degree] times as deep). *)
+    let degree = max 1 ctx.plan.temporal.degree in
     let max_ext =
       Array.init r (fun d ->
           let from_ext (e : An.extent) =
@@ -671,9 +677,10 @@ let total_counters ?(exact = false) ctx =
               (fun acc (b : Launch.buffer) -> max acc (from_ext b.extent))
               0 ctx.bufs
           in
-          List.fold_left
-            (fun acc si -> max acc (max (from_ext si.region_ext) (from_ext si.guard_ext)))
-            of_bufs ctx.stmts)
+          degree
+          * List.fold_left
+              (fun acc si -> max acc (max (from_ext si.region_ext) (from_ext si.guard_ext)))
+              of_bufs ctx.stmts)
     in
     let classes_of_dim d =
       let n = g.grid.(d) in

@@ -5,9 +5,6 @@
 let str k ev = Option.bind (Json.member k ev) Json.to_string_opt
 let num k ev = Option.bind (Json.member k ev) Json.to_float_opt
 
-let bool_opt k ev =
-  match Json.member k ev with Some (Json.Bool b) -> Some b | _ -> None
-
 let kind ev = Option.value ~default:"" (str "event" ev)
 let of_kind k events = List.filter (fun ev -> kind ev = k) events
 
@@ -206,69 +203,6 @@ let deep_section events =
         ("tipping_point", from_last results "tipping_point");
         ("schedules", Json.List (List.map strip schedules)) ]
 
-let fuzz_section events =
-  let cases = of_kind "fuzz.case" events in
-  if cases = [] then Json.Null
-  else
-    let count p = List.length (List.filter p cases) in
-    let sum k =
-      List.fold_left (fun a c -> a +. Option.value ~default:0.0 (num k c)) 0.0 cases
-    in
-    Json.Obj
-      [ ("cases", Json.Int (List.length cases));
-        ("ok", Json.Int (count (fun c -> str "verdict" c = Some "ok")));
-        ("findings", Json.Int (count (fun c -> str "verdict" c = Some "finding")));
-        ("trials", Json.Float (sum "trials"));
-        ("trials_skipped", Json.Float (sum "skipped"));
-        ("plans_checked", Json.Float (sum "plans"));
-        ("verdicts", Json.List (List.map strip cases)) ]
-
-let exec_section events =
-  let splits = of_kind "exec.split" events in
-  if splits = [] then Json.Null
-  else
-    let key ev =
-      ( Option.value ~default:"" (str "kernel" ev),
-        Option.value ~default:"" (str "executor" ev) )
-    in
-    let keys = List.sort_uniq compare (List.map key splits) in
-    let groups =
-      List.map
-        (fun ((kernel, executor) as k) ->
-          let evs = List.filter (fun ev -> key ev = k) splits in
-          let sum f =
-            List.fold_left
-              (fun a ev -> a +. Option.value ~default:0.0 (num f ev))
-              0.0 evs
-          in
-          let split_on =
-            List.length (List.filter (fun ev -> bool_opt "split" ev = Some true) evs)
-          in
-          let interior = sum "interior_points" and halo = sum "halo_points" in
-          let wavefront = sum "wavefront_points" and guarded = sum "guarded_points" in
-          let eliminated = sum "eliminated_points" in
-          let total = interior +. halo +. wavefront +. guarded +. eliminated in
-          (* Unguarded fast-path fraction: interior rows, the flat
-             segments inside wavefront rows, and shells the analyzer
-             proved dead (skipped outright); halo shells and the
-             whole-region guarded fallback pay the per-point guard. *)
-          let fast = interior +. wavefront +. eliminated in
-          Json.Obj
-            [ ("kernel", Json.Str kernel); ("executor", Json.Str executor);
-              ("launches", Json.Int (List.length evs));
-              ("split_launches", Json.Int split_on);
-              ("interior_points", Json.Float interior);
-              ("halo_points", Json.Float halo);
-              ("wavefront_points", Json.Float wavefront);
-              ("guarded_points", Json.Float guarded);
-              ("eliminated_points", Json.Float eliminated);
-              ( "interior_fraction",
-                Json.Float (if total > 0.0 then fast /. total else 0.0) ) ])
-        keys
-    in
-    Json.Obj
-      [ ("launches", Json.Int (List.length splits)); ("kernels", Json.List groups) ]
-
 let optimize_section events =
   let baselines = of_kind "optimize.baseline" events in
   let results = of_kind "optimize.result" events in
@@ -311,9 +245,7 @@ let report ?program events =
                  else 0.0) ) ] );
       ("runs", Json.List run_docs);
       ("optimize", optimize_section events);
-      ("deep", deep_section events);
-      ("fuzz", fuzz_section events);
-      ("exec", exec_section events) ]
+      ("deep", deep_section events) ]
 
 (* ------------------------------------------------------------------ *)
 (* Text rendering                                                      *)
@@ -476,43 +408,6 @@ let render doc =
           (g (num_or "iterations" s 0.0))
           (g (num_or "predicted_time_s" s 0.0)))
       (match Option.bind (Json.member "schedules" d) Json.to_list_opt with
-      | Some l -> l
-      | None -> [])
-  | _ -> ());
-  (match section "fuzz" with
-  | Json.Obj _ as f ->
-    Printf.bprintf b
-      "\nfuzz: %g case(s) — %g ok, %g finding(s); %g trial(s) (%g skipped), \
-       %g plan(s) checked\n"
-      (num_or "cases" f 0.0) (num_or "ok" f 0.0) (num_or "findings" f 0.0)
-      (num_or "trials" f 0.0)
-      (num_or "trials_skipped" f 0.0)
-      (num_or "plans_checked" f 0.0)
-  | _ -> ());
-  (match section "exec" with
-  | Json.Obj _ as e ->
-    Printf.bprintf b "\nexec: %g launch(es)\n" (num_or "launches" e 0.0);
-    List.iter
-      (fun k ->
-        let wavefront = num_or "wavefront_points" k 0.0 in
-        let guarded = num_or "guarded_points" k 0.0 in
-        let eliminated = num_or "eliminated_points" k 0.0 in
-        Printf.bprintf b
-          "  %s/%s: %g launch(es) (%g split), %s interior / %s halo points%s%s%s \
-           (%.1f%% unguarded)\n"
-          (str_or "executor" k "?") (str_or "kernel" k "?")
-          (num_or "launches" k 0.0)
-          (num_or "split_launches" k 0.0)
-          (g (num_or "interior_points" k 0.0))
-          (g (num_or "halo_points" k 0.0))
-          (if wavefront > 0.0 then Printf.sprintf " / %s wavefront" (g wavefront)
-           else "")
-          (if guarded > 0.0 then Printf.sprintf " / %s guarded" (g guarded) else "")
-          (if eliminated > 0.0 then
-             Printf.sprintf " / %s eliminated" (g eliminated)
-           else "")
-          (100.0 *. num_or "interior_fraction" k 0.0))
-      (match Option.bind (Json.member "kernels" e) Json.to_list_opt with
       | Some l -> l
       | None -> [])
   | _ -> ());

@@ -5,8 +5,7 @@
     accounts for every candidate the tuner touched — won, lost (with
     margin), lint-pruned (with code), or failed — plus cache economics,
     a roofline-style traffic breakdown of each winner against the
-    machine model's α/β knees, deep-tuning tipping-point decisions, fuzz
-    verdicts, and executor interior/halo splits.
+    machine model's α/β knees, and deep-tuning tipping-point decisions.
 
     Pure [Json -> Json]: no dependency on the tuner or GPU model, so the
     report can be rebuilt from a journal file alone. *)

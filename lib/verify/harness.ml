@@ -4,8 +4,6 @@ module A = Artemis_dsl.Ast
 module Pretty = Artemis_dsl.Pretty
 module Trace = Artemis_obs.Trace
 module Metrics = Artemis_obs.Metrics
-module Journal = Artemis_obs.Journal
-module Json = Artemis_obs.Json
 module Pool = Artemis_par.Pool
 
 let m_cases = Metrics.counter "verify.cases_generated"
@@ -73,11 +71,7 @@ let run ?dump_dir ?(lint = false) ~seed ~cases () =
      — counters, skip instants, finding dumps — happens afterwards on the
      main domain in case order, keeping summaries and repro files identical
      at any jobs setting. *)
-  (* Journal events a case's executors emit (exec.split) are captured
-     with the case and replayed below, in case order, before the case's
-     own verdict event — deterministic at any jobs setting. *)
   let run_case index =
-    Journal.capture @@ fun () ->
     Trace.with_span "verify.case" ~attrs:[ ("index", Int index) ] @@ fun () ->
     let case = Gen.generate ~seed ~index in
     let trial_rng = Rng.make2 (seed lxor 0x5eed) index in
@@ -107,59 +101,28 @@ let run ?dump_dir ?(lint = false) ~seed ~cases () =
   let plans_checked = ref 0 in
   let shrink_steps = ref 0 in
   let findings = ref [] in
-  List.iteri
-    (fun index (outcomes, entries) ->
-      Journal.replay entries;
+  List.iter
+    (fun outcomes ->
       Metrics.incr m_cases;
-      let case_skipped = ref 0 in
-      let case_plans = ref 0 in
-      let case_findings = ref [] in
       List.iter
         (fun outcome ->
           incr trials_run;
           match outcome with
           | `Skipped reason ->
             incr trials_skipped;
-            incr case_skipped;
             Metrics.incr m_skipped;
             Trace.instant "verify.skip" ~attrs:[ ("reason", Str reason) ]
           | `Ok plans ->
             plans_checked := !plans_checked + plans;
-            case_plans := !case_plans + plans;
             Metrics.incr ~by:(float_of_int plans) m_plans
           | `Finding (plans, (f : finding)) ->
             plans_checked := !plans_checked + plans;
-            case_plans := !case_plans + plans;
             Metrics.incr ~by:(float_of_int plans) m_plans;
             Metrics.incr m_mismatches;
             shrink_steps := !shrink_steps + f.shrink_steps;
             findings := f :: !findings;
-            case_findings := f :: !case_findings;
             Option.iter (fun dir -> ignore (dump_finding ~dir ~seed f)) dump_dir)
-        outcomes;
-      if Journal.enabled () then begin
-        let finding_json (f : finding) =
-          Json.Obj
-            [ ("trial", Json.Str (Sampler.trial_label f.trial));
-              ("shrink_steps", Json.Int f.shrink_steps);
-              ( "mismatches",
-                Json.List
-                  (List.map
-                     (fun m -> Json.Str (Oracle.mismatch_to_string m))
-                     f.mismatches) ) ]
-        in
-        Journal.append "fuzz.case"
-          ([ ("index", Json.Int index);
-             ("trials", Json.Int (List.length outcomes));
-             ("skipped", Json.Int !case_skipped);
-             ("plans", Json.Int !case_plans);
-             ( "verdict",
-               Json.Str (if !case_findings = [] then "ok" else "finding") ) ]
-          @
-          match List.rev !case_findings with
-          | [] -> []
-          | fs -> [ ("findings", Json.List (List.map finding_json fs)) ])
-      end)
+        outcomes)
     case_results;
   {
     seed;

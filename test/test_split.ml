@@ -394,7 +394,6 @@ let metrics_tests =
 
 module W = E.Wavefront
 module Pool = Artemis_par.Pool
-module Journal = Artemis_obs.Journal
 
 (* Gauss-Seidel with a forcing term: uniform self-dependence with
    distances (0,-1), (-1,0), (0,1), (1,0) — wavefront-scheduled. *)
@@ -438,8 +437,8 @@ let wavefront_matrix_case name src =
 
 (* [reference_outputs Eval.Split] at the given job count, with the pool's
    core-count clamp disabled so jobs=4 exercises the queue even on
-   single-core hosts; returns the copyout grids and the decision
-   journal. *)
+   single-core hosts; returns the copyout grids and the points the run
+   charged to each [exec.*_points] counter. *)
 let wavefront_run_at_jobs prog jobs =
   let saved = Pool.jobs () and sf = !Pool.force_parallel in
   Pool.set_jobs jobs;
@@ -449,10 +448,15 @@ let wavefront_run_at_jobs prog jobs =
       Pool.set_jobs saved;
       Pool.force_parallel := sf)
     (fun () ->
-      Journal.start ();
+      let classes = [ "interior"; "halo"; "wavefront"; "guarded"; "eliminated" ] in
+      let read () =
+        List.map
+          (fun c -> Metrics.counter_value (Metrics.counter ("exec." ^ c ^ "_points")))
+          classes
+      in
+      let before = read () in
       let outs = reference_outputs Eval.Split prog in
-      Journal.stop ();
-      (outs, Journal.to_jsonl ()))
+      (outs, List.combine classes (List.map2 ( -. ) (read ()) before)))
 
 let wavefront_tests =
   [
@@ -510,10 +514,13 @@ let wavefront_tests =
     wavefront_matrix_case "sor3d" wf_sor3d_src;
     case "wavefront: forced jobs=4 byte-identical to jobs=1" (fun () ->
         let prog = Artemis.parse_string wf_gs2d_src in
-        let outs1, journal1 = wavefront_run_at_jobs prog 1 in
-        let outs4, journal4 = wavefront_run_at_jobs prog 4 in
+        let outs1, points1 = wavefront_run_at_jobs prog 1 in
+        let outs4, points4 = wavefront_run_at_jobs prog 4 in
         check_identical "jobs=1 vs jobs=4" outs1 outs4;
-        Alcotest.(check string) "journals byte-identical" journal1 journal4);
+        Alcotest.(check bool) "wavefront points charged" true
+          (List.assoc "wavefront" points1 > 0.0);
+        Alcotest.(check (list (pair string (float 0.0))))
+          "point counts identical" points1 points4);
     case "wavefront sweeps feed the wavefront counter" (fun () ->
         let m_wf = Metrics.counter "exec.wavefront_points" in
         let m_gd = Metrics.counter "exec.guarded_points" in

@@ -192,4 +192,14 @@ let tests =
               (Lint.lint_program c.Gen.prog)
           in
           Alcotest.(check (list string)) "no lint errors" [] errors);
+      case "pin: temporally blocked class sums are exact (seed 18)" (fun () ->
+          (* Case 29 priced blocks within a degree-b staged halo of a face
+             as middle blocks (dram 31872 vs 33920): the class width must
+             grow with the temporal degree. *)
+          let s = Harness.run ~seed:18 ~cases:30 () in
+          Alcotest.(check (list string)) "no findings" []
+            (List.concat_map
+               (fun (f : Harness.finding) ->
+                 List.map Oracle.mismatch_to_string f.mismatches)
+               s.Harness.findings));
     ] )
