@@ -21,8 +21,8 @@ let dev = Artemis.Device.p100
 
 let header title = Printf.printf "\n=== %s ===\n%!" title
 
-(* Shared provenance block stamped into every BENCH_*.json so bench-diff
-   can refuse to compare results produced under different machine models
+(* Shared provenance block stamped into every BENCH_*.json: the machine
+   model a run assumed, for the reader; bench-diff skips [meta]
    (docs/OBSERVABILITY.md). *)
 let bench_meta () =
   let module J = Artemis.Json in
@@ -629,82 +629,45 @@ let v100 () =
     \ the tuner picks different block shapes per device)\n%!"
 
 (* ------------------------------------------------------------------ *)
-(* Tuner & executor wall clock: serial vs jobs=N, cache cold vs warm    *)
+(* Tuner invariance: serial vs jobs=4, cache cold vs warm, pre-rank    *)
 (* ------------------------------------------------------------------ *)
 
-(* Wall-clock comparison of the whole tuning/verification stack across
-   execution configurations.  The "pre-pr" row is the historical code
-   path — serial, interpreter-backed evaluation, no measurement cache —
-   kept runnable through [Eval.use_interpreter] and
-   [Measure_cache.bypass].  On a single-core host the jobs=4 rows win on
-   the compiled evaluator and the cache alone; on a multicore host the
-   domain pool compounds that.  Every row must produce byte-identical
-   tuning artifacts — that equality is asserted and reported. *)
+(* The tuning stack under each execution configuration.  Every row must
+   pick byte-identical plans, and the pre-rank rows must reach them from
+   fewer analytic measurements.  Only these deterministic indicators are
+   recorded; host wall time is perfbench's (perfbench/README.md). *)
 
 type tuner_cfg = {
   cfg_name : string;
   cfg_jobs : int;
-  cfg_interp : bool;  (* interpreter-backed evaluation (pre-PR) *)
-  cfg_bypass : bool;  (* measurement cache off (pre-PR) *)
   cfg_warm : bool;  (* keep the cache from the previous row *)
   cfg_prerank : float;  (* pre-rank keep %% (100 = off) *)
 }
 
 let tuner_configs =
-  [ { cfg_name = "pre-pr-serial"; cfg_jobs = 1; cfg_interp = true; cfg_bypass = true;
-      cfg_warm = false; cfg_prerank = 100.0 };
-    { cfg_name = "serial-cold"; cfg_jobs = 1; cfg_interp = false; cfg_bypass = false;
-      cfg_warm = false; cfg_prerank = 100.0 };
-    { cfg_name = "jobs4-cold"; cfg_jobs = 4; cfg_interp = false; cfg_bypass = false;
-      cfg_warm = false; cfg_prerank = 100.0 };
-    { cfg_name = "jobs4-warm"; cfg_jobs = 4; cfg_interp = false; cfg_bypass = false;
-      cfg_warm = true; cfg_prerank = 100.0 };
-    { cfg_name = "prerank-serial-cold"; cfg_jobs = 1; cfg_interp = false;
-      cfg_bypass = false; cfg_warm = false;
-      cfg_prerank = Artemis.Hierarchical.default_prerank_keep };
-    { cfg_name = "prerank-jobs4-cold"; cfg_jobs = 4; cfg_interp = false;
-      cfg_bypass = false; cfg_warm = false;
-      cfg_prerank = Artemis.Hierarchical.default_prerank_keep };
-    { cfg_name = "prerank-jobs4-warm"; cfg_jobs = 4; cfg_interp = false;
-      cfg_bypass = false; cfg_warm = true;
-      cfg_prerank = Artemis.Hierarchical.default_prerank_keep } ]
+  let keep = Artemis.Hierarchical.default_prerank_keep in
+  [ { cfg_name = "serial-cold"; cfg_jobs = 1; cfg_warm = false; cfg_prerank = 100.0 };
+    { cfg_name = "jobs4-cold"; cfg_jobs = 4; cfg_warm = false; cfg_prerank = 100.0 };
+    { cfg_name = "jobs4-warm"; cfg_jobs = 4; cfg_warm = true; cfg_prerank = 100.0 };
+    { cfg_name = "prerank-serial-cold"; cfg_jobs = 1; cfg_warm = false; cfg_prerank = keep };
+    { cfg_name = "prerank-jobs4-cold"; cfg_jobs = 4; cfg_warm = false; cfg_prerank = keep };
+    { cfg_name = "prerank-jobs4-warm"; cfg_jobs = 4; cfg_warm = true; cfg_prerank = keep } ]
 
 let with_tuner_cfg cfg f =
   let saved_jobs = Artemis.Pool.jobs () in
-  let saved_interp = !Artemis_exec.Eval.use_interpreter in
-  let saved_bypass = !Artemis.Measure_cache.bypass in
   let saved_prerank = !Artemis.Hierarchical.prerank_keep in
   Artemis.Pool.set_jobs cfg.cfg_jobs;
-  Artemis_exec.Eval.use_interpreter := cfg.cfg_interp;
-  Artemis.Measure_cache.bypass := cfg.cfg_bypass;
   Artemis.Hierarchical.prerank_keep := cfg.cfg_prerank;
   if not cfg.cfg_warm then Artemis.Measure_cache.clear ();
   Fun.protect
     ~finally:(fun () ->
       Artemis.Pool.set_jobs saved_jobs;
-      Artemis_exec.Eval.use_interpreter := saved_interp;
-      Artemis.Measure_cache.bypass := saved_bypass;
       Artemis.Hierarchical.prerank_keep := saved_prerank)
     f
 
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (Unix.gettimeofday () -. t0, r)
-
-(* A small executable program: big enough that executor time dominates
-   setup, small enough that the interpreted baseline stays affordable. *)
-let exec_src =
-  {|parameter L=96; iterator i, j; double u[L,L], v[L,L]; copyin v;
-    stencil s0 (x, y) {
-      double t = 0.25 * (y[i-1][j] + y[i+1][j] + y[i][j-1] + y[i][j+1]);
-      x[i][j] = t + sqrt(fabs(t)) + min(t, fma(t, t, 0.5));
-    }
-    s0 (u, v); copyout u;|}
-
-(* The four measured components.  Each returns a printable artifact that
+(* The two tuning components.  Each returns a printable artifact that
    must be identical across configurations. *)
-let tuner_components ~fuzz_cases ~max_tile ~exec_reps =
+let tuner_components ~max_tile =
   let opt () =
     let k = List.hd (Suite.kernels (Suite.find "7pt-smoother")) in
     let r = Artemis.optimize_kernel k in
@@ -721,70 +684,30 @@ let tuner_components ~fuzz_cases ~max_tile ~exec_reps =
     ^ Printf.sprintf "|sched=[%s]"
         (String.concat ";" (List.map string_of_int dr.schedule))
   in
-  let fuzz () =
-    let s = Artemis_verify.Harness.run ~lint:true ~seed:11 ~cases:fuzz_cases () in
-    Printf.sprintf "trials=%d plans=%d findings=%d" s.trials_run s.plans_checked
-      (List.length s.findings)
-  in
-  let exec () =
-    let prog = Artemis.parse_string exec_src in
-    let k = Artemis.first_kernel prog in
-    let scalars = Artemis.Reference.scalars_of_program prog in
-    let plan = Artemis.Lower.lower dev k O.default in
-    let counters = ref 0.0 in
-    for _ = 1 to exec_reps do
-      let store = Artemis.Reference.store_of_program prog in
-      Artemis.Reference.run_kernel store ~scalars k;
-      let store2 = Artemis.Reference.store_of_program prog in
-      let c = Artemis.Kernel_exec.run plan store2 ~scalars in
-      counters := !counters +. c.C.useful_flops
-    done;
-    Printf.sprintf "flops=%.0f" !counters
-  in
-  [ ("optimize", opt); ("deep", deep); ("fuzz", fuzz); ("exec", exec) ]
+  [ ("optimize", opt); ("deep", deep) ]
 
-(* Run every configuration; returns per-config (component, seconds,
-   artifact, analytic measures) rows — the measure count is the
+(* Run every configuration; returns per-config (component, artifact,
+   analytic measures) rows — the measure count is the
    [exec.analytic_measures] delta over the component, the denominator of
    the pre-rank savings indicator. *)
 let m_measures = Artemis.Metrics.counter "exec.analytic_measures"
 
 let measured_row (name, f) =
   let before = Artemis.Metrics.counter_value m_measures in
-  let s, artifact = wall f in
+  let artifact = f () in
   let measures = Artemis.Metrics.counter_value m_measures -. before in
-  (name, s, artifact, measures)
+  (name, artifact, measures)
 
-let tuner_matrix ~fuzz_cases ~max_tile ~exec_reps =
+let tuner_matrix ~max_tile =
   List.map
     (fun cfg ->
-      let rows =
-        with_tuner_cfg cfg (fun () ->
-            List.map measured_row
-              (tuner_components ~fuzz_cases ~max_tile ~exec_reps))
-      in
-      (cfg, rows))
+      (cfg, with_tuner_cfg cfg (fun () ->
+           List.map measured_row (tuner_components ~max_tile))))
     tuner_configs
 
-let total rows = List.fold_left (fun acc (_, s, _, _) -> acc +. s) 0.0 rows
+let tuned_measures rows = List.fold_left (fun acc (_, _, m) -> acc +. m) 0.0 rows
 
-(* The memoized components — the ones a warm cache can short-circuit. *)
-let cached_total rows =
-  List.fold_left
-    (fun acc (name, s, _, _) ->
-      if name = "optimize" || name = "deep" then acc +. s else acc)
-    0.0 rows
-
-(* Analytic measurements spent on the tuning components — the work the
-   pre-rank is meant to save.  The fuzz and exec components
-   never enter the tuner, so they are excluded on both sides. *)
-let tuned_measures rows =
-  List.fold_left
-    (fun acc (name, _, _, m) ->
-      if name = "optimize" || name = "deep" then acc +. m else acc)
-    0.0 rows
-
-let artifacts rows = List.map (fun (name, _, a, _) -> (name, a)) rows
+let artifacts rows = List.map (fun (name, a, _) -> (name, a)) rows
 
 (* Plan-identity view of a row's artifacts: the optimize artifact
    carries the measurement count ("explored=N"), which pre-ranking is
@@ -800,43 +723,35 @@ let strip_explored a =
   in
   find 0
 
-let plan_artifacts rows =
-  List.map (fun (name, _, a, _) -> (name, strip_explored a)) rows
+let plan_artifacts rows = List.map (fun (name, a, _) -> (name, strip_explored a)) rows
 
 let tuner_report matrix =
-  let find name = List.find (fun (c, _) -> c.cfg_name = name) matrix in
-  let pre = snd (find "pre-pr-serial") in
-  let cold4 = snd (find "jobs4-cold") in
-  let warm4 = snd (find "jobs4-warm") in
-  let speedup = total pre /. Float.max (total cold4) 1e-9 in
-  let warm_speedup = cached_total cold4 /. Float.max (cached_total warm4) 1e-9 in
+  let find name = snd (List.find (fun (c, _) -> c.cfg_name = name) matrix) in
+  let serial = find "serial-cold" in
   (* Full-artifact byte-identity across the prerank-off rows (the
-     original jobs/cache invariant), plan identity for the prerank rows
-     (same winner from a fraction of the measurements). *)
+     jobs/cache invariant), plan identity for the prerank rows (same
+     winner from a fraction of the measurements). *)
   let plans_equal =
     List.for_all
-      (fun (cfg, rows) -> cfg.cfg_prerank < 100.0 || artifacts rows = artifacts pre)
+      (fun (cfg, rows) -> cfg.cfg_prerank < 100.0 || artifacts rows = artifacts serial)
       matrix
   in
   let prerank_plan_equal =
     List.for_all
       (fun (cfg, rows) ->
-        cfg.cfg_prerank >= 100.0 || plan_artifacts rows = plan_artifacts pre)
+        cfg.cfg_prerank >= 100.0 || plan_artifacts rows = plan_artifacts serial)
       matrix
   in
   let measurements_saved_pct =
-    let off = tuned_measures (snd (find "serial-cold")) in
-    let on = tuned_measures (snd (find "prerank-serial-cold")) in
+    let off = tuned_measures serial in
+    let on = tuned_measures (find "prerank-serial-cold") in
     if off <= 0.0 then 0.0 else (off -. on) /. off *. 100.0
   in
-  (speedup, warm_speedup, plans_equal, prerank_plan_equal, measurements_saved_pct)
+  (plans_equal, prerank_plan_equal, measurements_saved_pct)
 
 let write_tuner_json matrix =
   let module J = Artemis.Json in
-  let speedup, warm_speedup, plans_equal, prerank_plan_equal,
-      measurements_saved_pct =
-    tuner_report matrix
-  in
+  let plans_equal, prerank_plan_equal, measurements_saved_pct = tuner_report matrix in
   let doc =
     J.Obj
       [ ("meta", bench_meta ());
@@ -846,26 +761,17 @@ let write_tuner_json matrix =
               (fun (cfg, rows) ->
                 J.Obj
                   [ ("name", J.Str cfg.cfg_name); ("jobs", J.Int cfg.cfg_jobs);
-                    ("interpreter", J.Bool cfg.cfg_interp);
-                    ("cache",
-                     J.Str
-                       (if cfg.cfg_bypass then "off"
-                        else if cfg.cfg_warm then "warm"
-                        else "cold"));
+                    ("cache", J.Str (if cfg.cfg_warm then "warm" else "cold"));
                     ("prerank_keep_pct", J.Float cfg.cfg_prerank);
-                    ("total_wall_s", J.Float (total rows));
                     ("components",
                      J.List
                        (List.map
-                          (fun (name, s, artifact, measures) ->
+                          (fun (name, artifact, measures) ->
                             J.Obj
-                              [ ("name", J.Str name); ("wall_s", J.Float s);
-                                ("artifact", J.Str artifact);
+                              [ ("name", J.Str name); ("artifact", J.Str artifact);
                                 ("analytic_measures", J.Float measures) ])
                           rows)) ])
               matrix));
-        ("speedup_jobs4_vs_pre", J.Float speedup);
-        ("warm_speedup", J.Float warm_speedup);
         ("plans_equal", J.Bool plans_equal);
         ("prerank_plan_equal", J.Bool prerank_plan_equal);
         ("measurements_saved_pct", J.Float measurements_saved_pct) ]
@@ -877,60 +783,19 @@ let write_tuner_json matrix =
   Printf.printf "wrote BENCH_tuner.json\n%!"
 
 let tuner () =
-  header "Tuner & executor wall clock (serial vs jobs=4, cache cold vs warm)";
-  let matrix = tuner_matrix ~fuzz_cases:60 ~max_tile:3 ~exec_reps:20 in
+  header "Tuner invariance (serial vs jobs=4, cache cold vs warm, pre-rank)";
+  let matrix = tuner_matrix ~max_tile:3 in
   List.iter
     (fun (cfg, rows) ->
       Printf.printf "%-19s" cfg.cfg_name;
-      List.iter (fun (name, s, _, _) -> Printf.printf "  %s %6.2fs" name s) rows;
-      Printf.printf "  | total %6.2fs\n%!" (total rows))
+      List.iter (fun (name, _, m) -> Printf.printf "  %s %5.0f measures" name m) rows;
+      print_newline ())
     matrix;
-  let speedup, warm_speedup, plans_equal, prerank_plan_equal,
-      measurements_saved_pct =
-    tuner_report matrix
-  in
-  Printf.printf "speedup jobs4-cold vs pre-PR : %.2fx\n" speedup;
-  Printf.printf "warm-cache speedup (tuning)  : %.2fx\n" warm_speedup;
+  let plans_equal, prerank_plan_equal, measurements_saved_pct = tuner_report matrix in
   Printf.printf "artifacts identical          : %b\n" plans_equal;
   Printf.printf "prerank same plans           : %b\n" prerank_plan_equal;
   Printf.printf "prerank measurements saved   : %.1f%%\n%!" measurements_saved_pct;
   write_tuner_json matrix
-
-(* Hidden smoke variant (resolvable by name only, not part of the
-   default run): tiny scale, jobs=2, hard assertions — the `make
-   perf-smoke` gate. *)
-let tuner_smoke () =
-  header "perf smoke: jobs=2 vs pre-PR serial on a tiny workload";
-  let configs =
-    [ List.nth tuner_configs 0;
-      { cfg_name = "jobs2-cold"; cfg_jobs = 2; cfg_interp = false;
-        cfg_bypass = false; cfg_warm = false; cfg_prerank = 100.0 } ]
-  in
-  let matrix =
-    List.map
-      (fun cfg ->
-        let rows =
-          with_tuner_cfg cfg (fun () ->
-              List.map measured_row
-                (tuner_components ~fuzz_cases:12 ~max_tile:2 ~exec_reps:4))
-        in
-        (cfg, rows))
-      configs
-  in
-  let pre = snd (List.nth matrix 0) in
-  let jobs2 = snd (List.nth matrix 1) in
-  let speedup = total pre /. Float.max (total jobs2) 1e-9 in
-  let equal = artifacts pre = artifacts jobs2 in
-  Printf.printf "pre-PR %6.2fs, jobs2 %6.2fs -> speedup %.2fx; identical %b\n%!"
-    (total pre) (total jobs2) speedup equal;
-  if not equal then begin
-    prerr_endline "perf-smoke FAILED: artifacts differ between serial and jobs=2";
-    exit 1
-  end;
-  if speedup < 1.0 then begin
-    Printf.eprintf "perf-smoke FAILED: speedup %.2fx < 1.0x\n" speedup;
-    exit 1
-  end
 
 (* Hidden smoke variant (`make model-smoke`): on every registry device,
    tuning with the sketched-counter pre-rank must pick the same plan as
@@ -1001,21 +866,17 @@ let model_smoke () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Executor wall clock: interpreter vs compiled vs split-interior       *)
+(* Executor modes: interpreter vs compiled vs split-interior           *)
 (* ------------------------------------------------------------------ *)
 
-(* Wall-clock comparison of three executor modes over the whole suite
-   plus a fuzz-corpus replay, through both the reference executor and
-   the block executor.  The "interpreter" row is the tree-walking
-   baseline ([Eval.Interpreted]), "compiled" is the compile-once
-   evaluator with every point guarded ([Eval.Guarded]), and "split"
-   adds the interior/halo decomposition with flat-index rows
-   ([Eval.Split], docs/PERF.md).  Copyout arrays must be bit-identical
-   across all three — asserted and reported. *)
-
-let exec_modes =
-  [ ("interpreter", Artemis.Eval.Interpreted); ("compiled", Artemis.Eval.Guarded);
-    ("split", Artemis.Eval.Split) ]
+(* Three executor modes over the whole suite plus a fuzz-corpus replay,
+   through both the reference executor and the block executor: the
+   tree-walking interpreter ([Eval.Interpreted]), the compile-once
+   evaluator with every point guarded ([Eval.Guarded]), and the
+   interior/halo decomposition with flat-index rows ([Eval.Split],
+   docs/PERF.md).  Copyout arrays must be bit-identical across all
+   three.  Their throughput is perfbench exec-grids' ([exec_mpts_s],
+   [ref_mpts_s]). *)
 
 (* Default plan with the block shape shrunk until launchable — the
    tuner's validity filter, so heavy kernels run at bench sizes. *)
@@ -1036,8 +897,8 @@ let exec_plan_of k =
   in
   shrink p 12
 
-(* One program end to end under [mode]: reference executor and block
-   executor wall seconds, plus the copyout grids of each. *)
+(* One program end to end under [mode]: the copyout grids of the
+   reference executor, then of the block executor. *)
 let exec_run ~mode (prog : Artemis.Ast.program) =
   let scalars = Artemis.Reference.scalars_of_program prog in
   let sched = I.schedule prog in
@@ -1046,20 +907,18 @@ let exec_run ~mode (prog : Artemis.Ast.program) =
       (fun n -> (n, Artemis_exec.Grid.copy (Artemis.Reference.find_array store n)))
       prog.copyout
   in
-  let ref_s, ref_out =
-    wall (fun () ->
-        let store = Artemis.Reference.store_of_program prog in
-        Artemis.Reference.run_schedule ~mode store ~scalars sched;
-        copyouts store)
+  let ref_out =
+    let store = Artemis.Reference.store_of_program prog in
+    Artemis.Reference.run_schedule ~mode store ~scalars sched;
+    copyouts store
   in
-  let blk_s, blk_out =
-    wall (fun () ->
-        let store = Artemis.Reference.store_of_program prog in
-        let steps = Artemis.Runner.configure ~plan_of:exec_plan_of sched in
-        let _ = Artemis.Runner.run_schedule ~mode steps store ~scalars in
-        copyouts store)
+  let blk_out =
+    let store = Artemis.Reference.store_of_program prog in
+    let steps = Artemis.Runner.configure ~plan_of:exec_plan_of sched in
+    let _ = Artemis.Runner.run_schedule ~mode steps store ~scalars in
+    copyouts store
   in
-  (ref_s, blk_s, ref_out @ blk_out)
+  ref_out @ blk_out
 
 let outputs_equal a b =
   List.length a = List.length b
@@ -1068,54 +927,20 @@ let outputs_equal a b =
          n = n' && Artemis_exec.Grid.max_abs_diff g g' = 0.0)
        a b
 
-(* The per-mode matrix: suite programs then a fuzz-corpus replay through
-   the reference executor. *)
-let exec_matrix ~size ~fuzz_cases =
+(* Suite programs then a fuzz-corpus replay under every mode: true when
+   the interpreter's and the compiled mode's grids equal the split
+   mode's. *)
+let modes_equal ~size ~fuzz_cases =
   let progs =
-    List.map (fun (b : Suite.t) -> (b.name, (Suite.at_size size b).prog)) Suite.all
+    List.map (fun (b : Suite.t) -> (Suite.at_size size b).prog) Suite.all
+    @ List.init fuzz_cases (fun index ->
+          (Artemis_verify.Gen.generate ~seed:23 ~index).prog)
   in
-  let fuzz_progs =
-    List.init fuzz_cases (fun index ->
-        (Artemis_verify.Gen.generate ~seed:23 ~index).prog)
-  in
-  List.map
-    (fun (mode_name, mode) ->
-      let rows =
-        List.map
-          (fun (name, prog) ->
-            let ref_s, blk_s, outs = exec_run ~mode prog in
-            (name, ref_s, blk_s, outs))
-          progs
-      in
-      let fuzz_s, fuzz_outs =
-        wall (fun () ->
-            List.concat_map
-              (fun prog ->
-                let _, _, outs = exec_run ~mode prog in
-                outs)
-              fuzz_progs)
-      in
-      (mode_name, rows, fuzz_s, fuzz_outs))
-    exec_modes
-
-let exec_report matrix =
-  let find name =
-    List.find (fun (mode_name, _, _, _) -> mode_name = name) matrix
-  in
-  let total (_, rows, fuzz_s, _) =
-    List.fold_left (fun acc (_, r, b, _) -> acc +. r +. b) fuzz_s rows
-  in
-  let all_outs (_, rows, _, fuzz_outs) =
-    List.concat_map (fun (_, _, _, outs) -> outs) rows @ fuzz_outs
-  in
-  let interp = find "interpreter" and compiled = find "compiled" and split = find "split" in
-  let speedup_vs_compiled = total compiled /. Float.max (total split) 1e-9 in
-  let speedup_vs_interp = total interp /. Float.max (total split) 1e-9 in
-  let equal =
-    outputs_equal (all_outs split) (all_outs compiled)
-    && outputs_equal (all_outs split) (all_outs interp)
-  in
-  (speedup_vs_compiled, speedup_vs_interp, equal)
+  let outs mode = List.concat_map (exec_run ~mode) progs in
+  let split = outs Artemis.Eval.Split in
+  List.for_all
+    (fun mode -> outputs_equal (outs mode) split)
+    [ Artemis.Eval.Interpreted; Artemis.Eval.Guarded ]
 
 (* ------------------------------------------------------------------ *)
 (* Dependent stencils: wavefront schedule vs guarded fallback           *)
@@ -1155,13 +980,13 @@ let dependent_cases ~size2 ~size3 =
   [ ("gs2d", Artemis.parse_string (gs2d_src ~n:size2 ~m:size2));
     ("sor3d", Artemis.parse_string (sor3d_src ~n:size3)) ]
 
-(* Reference-executor wall seconds for [reps] sweeps under each schedule
-   ([Eval.Split] takes the wavefront, [Eval.Guarded] the per-point
-   fallback); returns (wavefront_s, guarded_s, bit_equal). *)
-let dependent_run (prog : Artemis.Ast.program) ~reps =
+(* Copyout grids after [reps] reference-executor sweeps under each
+   schedule ([Eval.Split] takes the wavefront, [Eval.Guarded] the
+   per-point fallback): true when they are bit-identical. *)
+let dependent_equal (prog : Artemis.Ast.program) ~reps =
   let scalars = Artemis.Reference.scalars_of_program prog in
   let sched = I.schedule prog in
-  let run_once mode () =
+  let run_once mode =
     let store = Artemis.Reference.store_of_program prog in
     for _ = 1 to reps do
       Artemis.Reference.run_schedule ~mode store ~scalars sched
@@ -1170,21 +995,12 @@ let dependent_run (prog : Artemis.Ast.program) ~reps =
       (fun n -> (n, Artemis_exec.Grid.copy (Artemis.Reference.find_array store n)))
       prog.copyout
   in
-  let wf_s, wf_out = wall (run_once Artemis.Eval.Split) in
-  let gd_s, gd_out = wall (run_once Artemis.Eval.Guarded) in
-  (wf_s, gd_s, outputs_equal wf_out gd_out)
+  outputs_equal (run_once Artemis.Eval.Split) (run_once Artemis.Eval.Guarded)
 
-let dependent_matrix ~size2 ~size3 ~reps =
+let dependent_rows ~size2 ~size3 ~reps =
   List.map
-    (fun (name, prog) ->
-      let wf_s, gd_s, equal = dependent_run prog ~reps in
-      (name, wf_s, gd_s, equal))
+    (fun (name, prog) -> (name, dependent_equal prog ~reps))
     (dependent_cases ~size2 ~size3)
-
-let dependent_report rows =
-  let wf = List.fold_left (fun a (_, w, _, _) -> a +. w) 0.0 rows in
-  let gd = List.fold_left (fun a (_, _, g, _) -> a +. g) 0.0 rows in
-  (gd /. Float.max wf 1e-9, List.for_all (fun (_, _, _, e) -> e) rows)
 
 (* ------------------------------------------------------------------ *)
 (* Guard elimination: proven-bounds shells vs the PR-7 guarded halo     *)
@@ -1268,16 +1084,15 @@ let jobs_determinism () =
   in
   let run jobs =
     Artemis.Pool.set_jobs jobs;
-    List.concat_map
-      (fun p ->
-        let _, _, outs = exec_run ~mode:Artemis.Eval.Split p in
-        outs)
-      progs
+    List.concat_map (exec_run ~mode:Artemis.Eval.Split) progs
   in
-  let o1 = run 1 in
-  let o4 = run 4 in
-  Artemis.Pool.set_jobs 1;
-  outputs_equal o1 o4
+  let saved_jobs = Artemis.Pool.jobs () in
+  Fun.protect
+    ~finally:(fun () -> Artemis.Pool.set_jobs saved_jobs)
+    (fun () ->
+      let o1 = run 1 in
+      let o4 = run 4 in
+      outputs_equal o1 o4)
 
 (* ------------------------------------------------------------------ *)
 (* Degree-N temporal blocking: traffic reduction and exactness          *)
@@ -1365,48 +1180,18 @@ let temporal_equal_rows () =
       else None)
     Suite.all
 
-let write_exec_json matrix dep_rows elim_rows jobs_outs_eq
-    temporal_rows temporal_eq =
+let write_exec_json ~modes_eq dep_rows elim_rows jobs_outs_eq temporal_rows
+    temporal_eq =
   let module J = Artemis.Json in
-  let speedup_vs_compiled, speedup_vs_interp, equal = exec_report matrix in
-  let dep_speedup, dep_equal = dependent_report dep_rows in
   let _, _, elim_ratio, elim_increased, elim_equal = elimination_report elim_rows in
   let doc =
     J.Obj
       [ ("meta", bench_meta ());
-        ("modes",
-         J.List
-           (List.map
-              (fun (mode_name, rows, fuzz_s, _) ->
-                J.Obj
-                  [ ("name", J.Str mode_name);
-                    ("benchmarks",
-                     J.List
-                       (List.map
-                          (fun (name, ref_s, blk_s, _) ->
-                            J.Obj
-                              [ ("name", J.Str name);
-                                ("reference_wall_s", J.Float ref_s);
-                                ("blocks_wall_s", J.Float blk_s) ])
-                          rows));
-                    ("fuzz_replay_wall_s", J.Float fuzz_s);
-                    ("total_wall_s",
-                     J.Float
-                       (List.fold_left
-                          (fun acc (_, r, b, _) -> acc +. r +. b)
-                          fuzz_s rows)) ])
-              matrix));
         ("dependent",
          J.List
            (List.map
-              (fun (name, wf_s, gd_s, equal) ->
-                J.Obj
-                  [ ("name", J.Str name);
-                    ("wavefront_wall_s", J.Float wf_s);
-                    ("guarded_wall_s", J.Float gd_s);
-                    ("speedup_wavefront_vs_guarded",
-                     J.Float (gd_s /. Float.max wf_s 1e-9));
-                    ("outputs_equal", J.Bool equal) ])
+              (fun (name, equal) ->
+                J.Obj [ ("name", J.Str name); ("outputs_equal", J.Bool equal) ])
               dep_rows));
         ("elimination",
          J.List
@@ -1420,9 +1205,6 @@ let write_exec_json matrix dep_rows elim_rows jobs_outs_eq
                     ("eliminated_points", J.Float (List.assoc "eliminated" t_on));
                     ("outputs_equal", J.Bool eq) ])
               elim_rows));
-        ("speedup_split_vs_compiled", J.Float speedup_vs_compiled);
-        ("speedup_split_vs_interpreter", J.Float speedup_vs_interp);
-        ("speedup_wavefront_vs_guarded", J.Float dep_speedup);
         ("speedup_unguarded_points", J.Float elim_ratio);
         ("unguarded_fraction_increased", J.Bool elim_increased);
         ("elimination_outputs_equal", J.Bool elim_equal);
@@ -1446,8 +1228,9 @@ let write_exec_json matrix dep_rows elim_rows jobs_outs_eq
                   [ ("name", J.Str name); ("blocked_outputs_equal", J.Bool eq) ])
               temporal_eq));
         ("jobs_outputs_equal", J.Bool jobs_outs_eq);
-        ("outputs_equal", J.Bool equal);
-        ("wavefront_outputs_equal", J.Bool dep_equal) ]
+        ("outputs_equal", J.Bool modes_eq);
+        ("wavefront_outputs_equal",
+         J.Bool (List.for_all (fun (_, eq) -> eq) dep_rows)) ]
   in
   let oc = open_out "BENCH_exec.json" in
   Fun.protect
@@ -1456,29 +1239,14 @@ let write_exec_json matrix dep_rows elim_rows jobs_outs_eq
   Printf.printf "wrote BENCH_exec.json\n%!"
 
 let exec_bench () =
-  header "Executor wall clock: interpreter vs compiled vs split-interior";
-  let matrix = exec_matrix ~size:28 ~fuzz_cases:12 in
-  List.iter
-    (fun (mode_name, rows, fuzz_s, _) ->
-      let r = List.fold_left (fun acc (_, r, _, _) -> acc +. r) 0.0 rows in
-      let b = List.fold_left (fun acc (_, _, b, _) -> acc +. b) 0.0 rows in
-      Printf.printf "%-12s reference %6.2fs  blocks %6.2fs  fuzz %6.2fs  | total %6.2fs\n%!"
-        mode_name r b fuzz_s (r +. b +. fuzz_s))
-    matrix;
-  let speedup_vs_compiled, speedup_vs_interp, equal = exec_report matrix in
-  Printf.printf "speedup split vs compiled    : %.2fx\n" speedup_vs_compiled;
-  Printf.printf "speedup split vs interpreter : %.2fx\n" speedup_vs_interp;
-  Printf.printf "outputs bit-identical        : %b\n%!" equal;
+  header "Executor modes: interpreter vs compiled vs split-interior";
+  let modes_eq = modes_equal ~size:28 ~fuzz_cases:12 in
+  Printf.printf "outputs bit-identical        : %b\n%!" modes_eq;
   header "Dependent stencils: wavefront schedule vs guarded fallback";
-  let dep_rows = dependent_matrix ~size2:256 ~size3:40 ~reps:4 in
+  let dep_rows = dependent_rows ~size2:256 ~size3:40 ~reps:4 in
   List.iter
-    (fun (name, wf_s, gd_s, dep_eq) ->
-      Printf.printf "%-8s wavefront %6.3fs  guarded %6.3fs  speedup %5.2fx  equal %b\n%!"
-        name wf_s gd_s (gd_s /. Float.max wf_s 1e-9) dep_eq)
+    (fun (name, eq) -> Printf.printf "%-8s wavefront outputs equal %b\n%!" name eq)
     dep_rows;
-  let dep_speedup, dep_equal = dependent_report dep_rows in
-  Printf.printf "speedup wavefront vs guarded : %.2fx\n" dep_speedup;
-  Printf.printf "outputs bit-identical        : %b\n%!" dep_equal;
   header "Guard elimination: proven-bounds shells vs guarded halo";
   let elim_rows = elimination_rows ~size:28 in
   List.iter
@@ -1511,7 +1279,7 @@ let exec_bench () =
   List.iter
     (fun (name, eq) -> Printf.printf "%-14s blocked outputs equal %b\n%!" name eq)
     temporal_eq;
-  write_exec_json matrix dep_rows elim_rows jobs_eq temporal_rows temporal_eq
+  write_exec_json ~modes_eq dep_rows elim_rows jobs_eq temporal_rows temporal_eq
 
 (* Hidden smoke variant (`make perf-smoke`): one suite program, split vs
    compiled baseline, hard assertions on output equality and on the
@@ -1521,11 +1289,8 @@ let exec_smoke () =
   let prog = (Suite.at_size 12 (Suite.find "7pt-smoother")).prog in
   let m_int = Artemis.Metrics.counter "exec.interior_points" in
   let before = Artemis.Metrics.counter_value m_int in
-  let run mode =
-    let _, _, outs = exec_run ~mode prog in
-    outs
-  in
-  let split = run Artemis.Eval.Split and compiled = run Artemis.Eval.Guarded in
+  let split = exec_run ~mode:Artemis.Eval.Split prog in
+  let compiled = exec_run ~mode:Artemis.Eval.Guarded prog in
   let equal = outputs_equal split compiled in
   let interior = Artemis.Metrics.counter_value m_int -. before in
   Printf.printf "outputs identical %b; interior points swept %.0f\n%!" equal interior;
@@ -1584,11 +1349,9 @@ let wavefront_smoke () =
   let prog = Artemis.parse_string (gs2d_src ~n:64 ~m:64) in
   let m_wf = Artemis.Metrics.counter "exec.wavefront_points" in
   let before = Artemis.Metrics.counter_value m_wf in
-  let wf_s, gd_s, equal = dependent_run prog ~reps:2 in
+  let equal = dependent_equal prog ~reps:2 in
   let swept = Artemis.Metrics.counter_value m_wf -. before in
-  Printf.printf
-    "outputs identical %b; wavefront points swept %.0f (wavefront %.3fs guarded %.3fs)\n%!"
-    equal swept wf_s gd_s;
+  Printf.printf "outputs identical %b; wavefront points swept %.0f\n%!" equal swept;
   if not equal then begin
     prerr_endline
       "wavefront-smoke FAILED: wavefront outputs differ from the guarded fallback";
@@ -1610,7 +1373,7 @@ let all_experiments =
 
 (* Runnable by explicit name only — not part of the default sweep. *)
 let hidden_experiments =
-  [ ("tuner-smoke", tuner_smoke); ("exec-smoke", exec_smoke);
+  [ ("exec-smoke", exec_smoke);
     ("wavefront-smoke", wavefront_smoke); ("tb-smoke", tb_smoke);
     ("model-smoke", model_smoke) ]
 

@@ -960,8 +960,10 @@ let bench_diff_cmd =
   Cmd.v
     (Cmd.info "bench-diff"
        ~doc:"Gate a bench artifact against a baseline: compares the \
-             deterministic indicators (TFLOP/s, speedups, equality flags) \
-             and exits non-zero on regressions past the threshold")
+             deterministic indicators (modeled TFLOP/s, modeled or \
+             counter-derived ratios such as the speedup* keys, equality \
+             flags) and exits non-zero on regressions past the threshold; \
+             host wall time is never gated")
     Term.(ret (const run $ old_arg $ new_arg $ threshold_arg $ json_arg))
 
 (* ---------------- fuzz ---------------- *)

@@ -55,7 +55,9 @@ type mode =
   | Split_no_elim
   | Split
 
-(** When set, {!default_mode} is [Interpreted]. *)
+(** When set, {!default_mode} is [Interpreted].  Its only setter is
+    perfbench's [--record], which interprets whole runs whose executions
+    happen deep in the pipeline and in pool workers. *)
 val use_interpreter : bool ref
 
 (** The mode executors use when none is passed: [Interpreted] under

@@ -2,14 +2,18 @@
     [BENCH_*.json] artifact and the comparison engine behind
     [artemisc bench-diff].
 
-    Gating compares only model-deterministic indicators — achieved
-    TFLOP/s, speedup ratios, and boolean equality flags — never raw wall
-    seconds, which are noise on shared machines.  An indicator is found
-    by key name anywhere in the document (the [meta] subtree excluded):
+    Gating compares only deterministic indicators — modeled TFLOP/s,
+    modeled or counter-derived ratios, and boolean equality flags —
+    never host wall time, which needs repeated runs with a spread and
+    belongs to the repository benchmark.  An indicator is found by key
+    name anywhere in the document (the [meta] subtree excluded):
 
-    - numeric ["tflops"], ["warm_speedup"], or any key starting with
-      ["speedup"]: higher is better; a drop past the threshold is a
-      regression;
+    - numeric ["tflops"], ["dram_traffic_reduction"],
+      ["measurements_saved_pct"], or any key starting with ["speedup"]:
+      higher is better; a drop past the threshold is a regression.  The
+      [speedup*] keys the bench writes are a counter ratio
+      (["speedup_unguarded_points"]) and a modeled one
+      (["temporal.*.speedup_temporal_vs_unblocked"]);
     - boolean keys (e.g. ["plans_equal"], ["outputs_equal"]): a
       [true -> false] flip is a regression regardless of threshold.
 

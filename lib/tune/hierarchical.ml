@@ -83,7 +83,8 @@ let m_configs_prerank_pruned = Metrics.counter "tuner.configs_prerank_pruned"
    [prerank_keep] is the percentage kept; >= 100 disables the filter.
    The default is calibrated on the committed benchmark suite: the
    chosen plan is unchanged while most measurements are skipped (gated
-   by [prerank_plan_equal] in BENCH_tuner.json and `make model-smoke`). *)
+   by [prerank_plan_equal] and [measurements_saved_pct] in
+   BENCH_tuner.json and `make model-smoke`). *)
 let default_prerank_keep = 25.0
 let prerank_keep = ref default_prerank_keep
 

@@ -37,7 +37,8 @@ val default_knobs : knobs
     one-block counter sketch ([Predict]).  Values >= 100 disable the
     filter.  The default is calibrated so the chosen plan is unchanged on the
     committed suite while most measurements are skipped (see
-    BENCH_tuner.json's prerank rows and `make model-smoke`). *)
+    [prerank_plan_equal] and [measurements_saved_pct] in
+    BENCH_tuner.json, and `make model-smoke`). *)
 val prerank_keep : float ref
 
 val default_prerank_keep : float

@@ -124,19 +124,12 @@ let record outcome =
       ~attrs:
         [ ("outcome", Trace.Str (match outcome with `Hit -> "hit" | `Miss -> "miss")) ]
 
-(* Pre-cache behavior for the benchmark harness's baseline configuration:
-   measure directly, touching neither the table nor the hit/miss metrics. *)
-let bypass = ref false
-
 (** Memoized [Analytic.try_measure] that also reports whether the cache
     answered.  The outcome returns to the caller (rather than being only
     a side-effect metric) so main-domain folds can journal it in
     canonical candidate order — workers must not append to the journal
-    themselves.  A bypassed measurement counts as a miss but, as before,
-    touches neither the table nor the metrics. *)
+    themselves. *)
 let try_measure_outcome (plan : Plan.t) =
-  if !bypass then (Analytic.try_measure plan, `Miss)
-  else
   let key = key_of plan in
   let cached =
     Mutex.protect lock (fun () ->

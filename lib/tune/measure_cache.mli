@@ -20,14 +20,9 @@ val key_of : Artemis_ir.Plan.t -> string
 val try_measure : Artemis_ir.Plan.t -> Artemis_exec.Analytic.measurement option
 
 (** [try_measure] plus whether the cache answered, so callers folding on
-    the main domain can journal the outcome in canonical order.  Under
-    {!bypass} the outcome is always [`Miss]. *)
+    the main domain can journal the outcome in canonical order. *)
 val try_measure_outcome :
   Artemis_ir.Plan.t -> Artemis_exec.Analytic.measurement option * [ `Hit | `Miss ]
-
-(** When set, [try_measure] measures directly — no table, no metrics.
-    The benchmark harness's pre-cache baseline configuration. *)
-val bypass : bool ref
 
 (** Also persist entries under this directory (created if missing);
     [None] turns the disk store off.  Stored entries start with a header

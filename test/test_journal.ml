@@ -67,8 +67,8 @@ let events_of_kind kind jsonl =
 (* ------------------------------------------------------------------ *)
 
 (* A miniature BENCH document: one tflops indicator, one wall-seconds
-   non-indicator, one boolean flag, one speedup ratio, plus a meta block
-   that must never be gated on. *)
+   non-indicator, one boolean flag, one counter-derived speedup ratio,
+   plus a meta block that must never be gated on. *)
 let bench_doc ?(tflops = 2.0) ?(time_s = 1.0) ?(equal = true) ?(speedup = 8.0)
     ?(drop_tflops = false) () =
   Json.Obj
@@ -80,7 +80,7 @@ let bench_doc ?(tflops = 2.0) ?(time_s = 1.0) ?(equal = true) ?(speedup = 8.0)
                @ (if drop_tflops then [] else [ ("tflops", Json.Float tflops) ])
                @ [ ("time_s", Json.Float time_s) ] )) ] );
       ("outputs_equal", Json.Bool equal);
-      ("speedup_split_vs_compiled", Json.Float speedup) ]
+      ("speedup_unguarded_points", Json.Float speedup) ]
 
 let diff ?threshold_pct old_doc new_doc =
   Bench_diff.diff ?threshold_pct ~old_doc ~new_doc ()
